@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 
 from . import terms
 from .errors import CapExceededError, InputError
-from .kripke import (Frame, Model, Valuation, bits_to_worlds, evaluate,
-                     evaluate_orbit, worlds_to_bits)
-from .terms import TermStore, chain_term, s_term
+from .kripke import (MAX_WORLDS, Frame, Model, Valuation, bits_to_worlds,
+                     evaluate, evaluate_orbit, worlds_to_bits)
+from .terms import TermStore, chain_term, s_step, s_term
 
 ENUMERATION_CAP = 16
 
@@ -38,6 +38,8 @@ class ChainSpec:
 def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
     """The frame for ChainSpec(size, reflexive): edges i -> j for i < j, plus
     a loop at each listed point."""
+    if size > MAX_WORLDS:
+        raise CapExceededError(f"{size} worlds exceeds the {MAX_WORLDS}-world cap")
     spec = ChainSpec(size, frozenset(reflexive))
     full = (1 << size) - 1
     succ = []
@@ -132,7 +134,10 @@ def check_lemma(n: int, reflexive: Iterable[int] = (),
     fails_at_zero = not orbit[n] & 1
     global_next = orbit[n + 1] == full
 
-    s_global = {m: evaluate(model, s_term(m, store)) == full for m in range(n + 3)}
+    approximants = [s_term(0, store)]
+    for _ in range(n + 2):
+        approximants.append(s_step(approximants[-1]))
+    s_global = {m: evaluate(model, s) == full for m, s in enumerate(approximants)}
     claim_table = {
         level: tuple(w for w in range(0, spec.size, 2) if not orbit[level] >> w & 1)
         for level in range(n + 1)

@@ -1,8 +1,15 @@
-"""Finite Kripke frames, valuations, models, and bitset evaluation.
+"""Finite Kripke frames, valuations, models, and the one evaluation core.
 
 World sets are plain ints used as bitsets (bit w set means world w is in the
 set), which keeps every Boolean connective a single machine operation and
 makes evaluation results cheap to memoize and compare.
+
+evaluate_nodes is the only place where the connectives get their meaning: the
+operations of the frame's complex algebra, with diamond as a loop over the
+successor sets and box as its dual. It walks the term DAG without recursion
+and is generic in its backend. Model and Evaluator run it on ints; the
+vectorized SpaceEvaluator in vector.py runs the same loop on numpy uint64
+arrays that hold one bitset per valuation.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import terms
 from .errors import CapExceededError, InputError, MissingVariableWarning
@@ -164,7 +171,7 @@ class Model:
     term identity. The cache never needs invalidation because both halves
     are immutable."""
 
-    __slots__ = ("frame", "valuation", "_memo", "_warned", "_store")
+    __slots__ = ("frame", "valuation", "ops", "_memo", "_warned", "_store")
 
     def __init__(self, frame: Frame, valuation: Valuation):
         for name in valuation.names():
@@ -172,72 +179,96 @@ class Model:
                 raise InputError(f"valuation of {name!r} mentions worlds outside the frame")
         self.frame = frame
         self.valuation = valuation
+        self.ops = _int_ops(frame)
         self._memo: dict[int, int] = {}
         self._warned: set[str] = set()
         self._store = None
 
+    def _leaf(self, name: str) -> int:
+        if name not in self.valuation and name not in self._warned:
+            self._warned.add(name)
+            warnings.warn(f"variable {name!r} not in valuation, treating as empty set",
+                          MissingVariableWarning, stacklevel=4)
+        return self.valuation.bits(name)
 
-def _eval_on(frame: Frame, lookup, term: Term, memo: dict[int, int]) -> int:
-    mask = frame.mask
-    succ = frame.succ
 
-    def go(t: Term) -> int:
-        hit = memo.get(t.uid)
-        if hit is not None:
-            return hit
+def _int_ops(frame: Frame) -> tuple:
+    """The int backend of evaluate_nodes: zero, mask, successor sets and the
+    bit of each world, all as Python ints."""
+    return 0, frame.mask, frame.succ, tuple(1 << w for w in range(frame.worlds))
+
+
+def evaluate_nodes(owner, roots: Sequence[Term], memo: dict, leaf: Callable) -> list:
+    """Values of the root terms in the complex algebra of owner's frame.
+
+    Every node below the roots that memo (uid -> value) lacks is computed
+    children first with an explicit stack, so term depth is not limited by
+    recursion. owner.ops = (zero, mask, succ, bits) is the backend: ints for
+    the scalar evaluators, numpy uint64 arrays and scalars for the vectorized
+    one, combined by the same operators. leaf(name) gives a variable's value.
+    The memo is keyed by uid, which only identifies a node within one store,
+    so owner._store pins the store of the first term evaluated."""
+    for root in roots:
+        if owner._store is None:
+            owner._store = root.store
+        elif owner._store is not root.store:
+            raise InputError("evaluation cache already bound to a different term store")
+    zero, mask, succ, bits = owner.ops
+    stack = list(roots)
+    while stack:
+        t = stack[-1]
+        if t.uid in memo:
+            stack.pop()
+            continue
+        waiting = [a for a in t.args if a.uid not in memo]
+        if waiting:
+            stack += waiting
+            continue
+        stack.pop()
         kind = t.kind
         if kind == terms.VAR:
-            out = lookup(t.name)
+            out = leaf(t.name)
         elif kind == terms.TOP:
-            out = mask
+            out = zero | mask
         elif kind == terms.BOT:
-            out = 0
-        elif kind == terms.NOT:
-            out = mask ^ go(t.args[0])
-        elif kind == terms.AND:
-            out = go(t.args[0]) & go(t.args[1])
-        elif kind == terms.OR:
-            out = go(t.args[0]) | go(t.args[1])
-        elif kind == terms.IMP:
-            out = (mask ^ go(t.args[0])) | go(t.args[1])
-        elif kind == terms.BOX:
-            inner = go(t.args[0])
-            out = 0
-            for w in range(frame.worlds):
-                if succ[w] & ~inner == 0:
-                    out |= 1 << w
-        elif kind == terms.DIA:
-            inner = go(t.args[0])
-            out = 0
-            for w in range(frame.worlds):
-                if succ[w] & inner:
-                    out |= 1 << w
-        else:  # pragma: no cover - store validates kinds
-            raise InputError(f"unknown term kind {kind!r}")
+            out = zero
+        else:
+            a = memo[t.args[0].uid]
+            if kind == terms.NOT:
+                out = mask ^ a
+            elif kind == terms.AND:
+                out = a & memo[t.args[1].uid]
+            elif kind == terms.OR:
+                out = a | memo[t.args[1].uid]
+            elif kind == terms.IMP:
+                out = (mask ^ a) | memo[t.args[1].uid]
+            else:
+                # diamond: worlds with a successor in a; box(a) = not dia(not a)
+                if kind == terms.BOX:
+                    a = mask ^ a
+                out = a & zero
+                for s, bit in zip(succ, bits):
+                    out |= ((a & s) != 0) * bit
+                if kind == terms.BOX:
+                    out = mask ^ out
         memo[t.uid] = out
-        return out
+    return [memo[root.uid] for root in roots]
 
-    return go(term)
+
+def evaluate_gap(owner, stmt: Statement, memo: dict, leaf: Callable):
+    """Worlds where the statement fails: where the sides differ for an
+    equation, where lhs holds without rhs for an inequation."""
+    lhs, rhs = evaluate_nodes(owner, (stmt.lhs, stmt.rhs), memo, leaf)
+    if stmt.kind == terms.EQ:
+        return lhs ^ rhs
+    return lhs & (owner.ops[1] ^ rhs)
 
 
 def evaluate(model: Model, term: Term) -> int:
     """Bitset of worlds where the term holds. Box is universal over successors,
     so it holds vacuously at worlds with none; variables missing from the
     valuation evaluate to the empty set, with a one-shot warning each."""
-    # caches key on term identity, which only makes sense within one store
-    if model._store is None:
-        model._store = term.store
-    elif model._store is not term.store:
-        raise InputError("model cache already bound to a different term store")
-
-    def lookup(name: str) -> int:
-        if name not in model.valuation and name not in model._warned:
-            model._warned.add(name)
-            warnings.warn(f"variable {name!r} not in valuation, treating as empty set",
-                          MissingVariableWarning, stacklevel=4)
-        return model.valuation.bits(name)
-
-    return _eval_on(model.frame, lookup, term, model._memo)
+    return evaluate_nodes(model, (term,), model._memo, model._leaf)[0]
 
 
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
@@ -264,79 +295,28 @@ def evaluate_iterated(model: Model, term: Term, pivot: str, base: Term, k: int) 
 def holds_globally(model: Model, stmt: Statement) -> bool:
     """Truth of a statement at every world: equality of the two bitsets for
     equations, bitset inclusion for inequations."""
-    lhs = evaluate(model, stmt.lhs)
-    rhs = evaluate(model, stmt.rhs)
-    if stmt.kind == terms.EQ:
-        return lhs == rhs
-    return lhs & ~rhs == 0
+    return evaluate_gap(model, stmt, model._memo, model._leaf) == 0
 
 
 class Evaluator:
-    """Evaluation cache for one frame across many assignments. Entries are
-    keyed by term identity plus the assignment restricted to the term's free
-    variables, so enumeration loops pay for each distinct projection once.
-    Assignments are plain dicts of bitsets; absent variables mean empty,
-    silently, since enumeration callers control the variable set."""
+    """Evaluation on one frame under many assignments, each call with a fresh
+    memo. Assignments are plain dicts of bitsets; absent variables mean
+    empty, silently, since enumeration callers control the variable set."""
 
-    __slots__ = ("frame", "_memo", "_store")
+    __slots__ = ("frame", "ops", "_store")
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        self._memo: dict[tuple, int] = {}
+        self.ops = _int_ops(frame)
         self._store = None
 
     def evaluate(self, term: Term, assignment: Mapping[str, int]) -> int:
-        if self._store is None:
-            self._store = term.store
-        elif self._store is not term.store:
-            raise InputError("evaluator cache already bound to a different term store")
-        frame = self.frame
-        mask = frame.mask
-        succ = frame.succ
-        worlds = frame.worlds
-        memo = self._memo
-
-        def go(t: Term) -> int:
-            key = (t.uid,) + tuple(assignment.get(n, 0) for n in terms.free_tuple(t))
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            kind = t.kind
-            if kind == terms.VAR:
-                out = assignment.get(t.name, 0) & mask
-            elif kind == terms.TOP:
-                out = mask
-            elif kind == terms.BOT:
-                out = 0
-            elif kind == terms.NOT:
-                out = mask ^ go(t.args[0])
-            elif kind == terms.AND:
-                out = go(t.args[0]) & go(t.args[1])
-            elif kind == terms.OR:
-                out = go(t.args[0]) | go(t.args[1])
-            elif kind == terms.IMP:
-                out = (mask ^ go(t.args[0])) | go(t.args[1])
-            elif kind == terms.BOX:
-                inner = go(t.args[0])
-                out = 0
-                for w in range(worlds):
-                    if succ[w] & ~inner == 0:
-                        out |= 1 << w
-            else:
-                inner = go(t.args[0])
-                out = 0
-                for w in range(worlds):
-                    if succ[w] & inner:
-                        out |= 1 << w
-            memo[key] = out
-            return out
-
-        return go(term)
+        return evaluate_nodes(self, (term,), {}, self._leaf_of(assignment))[0]
 
     def statement_gap(self, stmt: Statement, assignment: Mapping[str, int]) -> int:
         """Bitset of worlds where the statement fails under the assignment."""
-        lhs = self.evaluate(stmt.lhs, assignment)
-        rhs = self.evaluate(stmt.rhs, assignment)
-        if stmt.kind == terms.EQ:
-            return lhs ^ rhs
-        return lhs & ~rhs
+        return evaluate_gap(self, stmt, {}, self._leaf_of(assignment))
+
+    def _leaf_of(self, assignment: Mapping[str, int]) -> Callable:
+        mask = self.frame.mask
+        return lambda name: assignment.get(name, 0) & mask

@@ -7,8 +7,10 @@ which expand to the k-th iterate of the chain step and the m-th pivot-free
 approximant. Statements are `formula = formula` or `formula <= formula`.
 
 The printer is the parser's inverse on term DAGs: parsing its output returns
-the identical interned term. Printing expands sharing, so it is gated by a
-node cap; deeply iterated terms are better handled as DAGs than as text.
+the identical interned term, as long as its parentheses nest no deeper than
+the parser's nesting cap. Printing expands sharing, so it is gated by a node
+cap; deeply iterated terms are better handled as DAGs than as text. Neither
+the parser nor the printer recurses over operator runs or term depth.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .terms import (Statement, Term, TermStore, chain_term, iterate, s_term,
                     tree_size)
 
 DISPLAY_NODE_CAP = 10_000
-_MACRO_POWER_CAP = 200  # keeps macro expansions well under evaluation depth limits
+_MACRO_POWER_CAP = 200  # bounds the DAG a short macro call can ask for
+_NESTING_CAP = 100  # parentheses recurse through the parser, about 5 frames a level
 
 _TWO_CHAR = ("[]", "<>", "->", "<=")
 _ONE_CHAR = "~&|()="
@@ -101,6 +104,7 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+_PREFIX = {"~": terms.NOT, "[]": terms.BOX, "<>": terms.DIA}
 _ATOM_EXPECTED = ("variable", "T", "F", "~", "[]", "<>", "(", "tpow", "spow")
 
 
@@ -108,6 +112,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], store: TermStore):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
         self.store = store
 
     def peek(self) -> Token:
@@ -130,11 +135,14 @@ class _Parser:
         return self.take()
 
     def formula(self) -> Term:
-        lhs = self.disjunction()
-        if self.peek().kind == "->":
+        parts = [self.disjunction()]
+        while self.peek().kind == "->":
             self.take()
-            return self.store.imp(lhs, self.formula())
-        return lhs
+            parts.append(self.disjunction())
+        out = parts.pop()
+        while parts:  # right associative: a -> b -> c is a -> (b -> c)
+            out = self.store.imp(parts.pop(), out)
+        return out
 
     def disjunction(self) -> Term:
         out = self.conjunction()
@@ -151,17 +159,13 @@ class _Parser:
         return out
 
     def unary(self) -> Term:
-        kind = self.peek().kind
-        if kind == "~":
-            self.take()
-            return self.store.not_(self.unary())
-        if kind == "[]":
-            self.take()
-            return self.store.box(self.unary())
-        if kind == "<>":
-            self.take()
-            return self.store.dia(self.unary())
-        return self.atom()
+        ops = []
+        while self.peek().kind in _PREFIX:
+            ops.append(_PREFIX[self.take().kind])
+        out = self.atom()
+        while ops:
+            out = self.store.make(ops.pop(), (out,))
+        return out
 
     def atom(self) -> Term:
         tok = self.peek()
@@ -174,8 +178,13 @@ class _Parser:
                 return self.macro(tok.text)
             return self.store.var(tok.text)
         if tok.kind == "(":
+            if self.depth == _NESTING_CAP:
+                raise ParseError(f"parentheses nest deeper than the cap {_NESTING_CAP}",
+                                 tok.line, tok.col, ())
             self.take()
+            self.depth += 1
             inner = self.formula()
+            self.depth -= 1
             self.expect(")", ")")
             return inner
         self.fail(_ATOM_EXPECTED)
@@ -217,6 +226,9 @@ def parse_statement(text: str, store: TermStore | None = None) -> Statement:
 
 
 _UNARY_SYM = {terms.NOT: "~", terms.BOX: "[]", terms.DIA: "<>"}
+# separator, own precedence, and the precedence each side needs unwrapped
+_BINARY = {terms.AND: (" & ", 3, 3, 4), terms.OR: (" | ", 2, 2, 3),
+           terms.IMP: (" -> ", 1, 2, 1)}
 
 
 def format_term(term: Term, max_nodes: int = DISPLAY_NODE_CAP) -> str:
@@ -225,31 +237,24 @@ def format_term(term: Term, max_nodes: int = DISPLAY_NODE_CAP) -> str:
     size = tree_size(term)
     if size > max_nodes:
         raise InputError(f"term expands to {size} nodes, display cap is {max_nodes}")
+    text: dict[int, tuple[str, int]] = {}  # uid -> (text, precedence)
 
-    def go(t: Term, need: int) -> str:
+    def side(t: Term, need: int) -> str:
+        out, prec = text[t.uid]
+        return f"({out})" if prec < need else out
+
+    for t in terms.walk(term):
         kind = t.kind
         if kind == terms.VAR:
-            return t.name
-        if kind == terms.TOP:
-            return "T"
-        if kind == terms.BOT:
-            return "F"
-        if kind in _UNARY_SYM:
-            return _wrap(_UNARY_SYM[kind] + go(t.args[0], 4), 4, need)
-        if kind == terms.AND:
-            text = f"{go(t.args[0], 3)} & {go(t.args[1], 4)}"
-            return _wrap(text, 3, need)
-        if kind == terms.OR:
-            text = f"{go(t.args[0], 2)} | {go(t.args[1], 3)}"
-            return _wrap(text, 2, need)
-        text = f"{go(t.args[0], 2)} -> {go(t.args[1], 1)}"
-        return _wrap(text, 1, need)
-
-    return go(term, 0)
-
-
-def _wrap(text: str, prec: int, need: int) -> str:
-    return f"({text})" if prec < need else text
+            text[t.uid] = t.name, 5
+        elif kind in (terms.TOP, terms.BOT):
+            text[t.uid] = "T" if kind == terms.TOP else "F", 5
+        elif kind in _UNARY_SYM:
+            text[t.uid] = _UNARY_SYM[kind] + side(t.args[0], 4), 4
+        else:
+            sep, prec, left, right = _BINARY[kind]
+            text[t.uid] = side(t.args[0], left) + sep + side(t.args[1], right), prec
+    return text[term.uid][0]
 
 
 def format_statement(stmt: Statement, max_nodes: int = DISPLAY_NODE_CAP) -> str:

@@ -174,17 +174,12 @@ def dia(t: Term) -> Term:
 
 def free_vars(term: Term) -> frozenset[str]:
     """Variable names occurring in the term (cached per node)."""
-    cached = term._free
-    if cached is not None:
-        return cached
-    if term.kind == VAR:
-        out: frozenset[str] = frozenset((term.name,))
-    elif not term.args:
-        out = frozenset()
-    else:
-        out = frozenset().union(*(free_vars(a) for a in term.args))
-    term._free = out
-    return out
+    if term._free is None:
+        for node in walk(term):
+            if node._free is None:
+                node._free = (frozenset((node.name,)) if node.kind == VAR
+                              else frozenset().union(*(a._free for a in node.args)))
+    return term._free
 
 
 def free_tuple(term: Term) -> tuple[str, ...]:
@@ -222,12 +217,11 @@ def node_count(term: Term) -> int:
 def tree_size(term: Term) -> int:
     """Size of the term expanded to a tree, i.e. with sharing printed out.
     Can be exponential in the DAG size, hence the display cap elsewhere."""
-    cached = term._tree
-    if cached is not None:
-        return cached
-    size = 1 + sum(tree_size(a) for a in term.args)
-    term._tree = size
-    return size
+    if term._tree is None:
+        for node in walk(term):
+            if node._tree is None:
+                node._tree = 1 + sum(a._tree for a in node.args)
+    return term._tree
 
 
 def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
@@ -237,23 +231,15 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
         if repl.store is not store:
             raise InputError("substitution mixes term stores")
     memo: dict[int, Term] = {}
-
-    def go(t: Term) -> Term:
-        hit = memo.get(t.uid)
-        if hit is not None:
-            return hit
+    for t in walk(term):
         if t.kind == VAR:
             out = mapping.get(t.name, t)
-        elif not t.args:
-            out = t
         else:
-            new_args = tuple(go(a) for a in t.args)
+            new_args = tuple(memo[a.uid] for a in t.args)
             out = t if all(n is o for n, o in zip(new_args, t.args)) \
                 else store.make(t.kind, new_args, name=t.name)
         memo[t.uid] = out
-        return out
-
-    return go(term)
+    return memo[term.uid]
 
 
 def iterate(term: Term, pivot: str, k: int) -> Term:
@@ -331,12 +317,16 @@ def s_term(m: int, store: TermStore | None = None) -> Term:
     box(y or box(z or .)). Lies below the m-th iterate of the chain step."""
     if m < 0:
         raise InputError("approximant index must be nonnegative")
-    s = _store(store)
-    y, z = s.var("y"), s.var("z")
-    out = s.bot()
+    out = _store(store).bot()
     for _ in range(m):
-        out = s.box(s.or_(y, s.box(s.or_(z, out))))
+        out = s_step(out)
     return out
+
+
+def s_step(prev: Term) -> Term:
+    """The next approximant after prev: box(y or box(z or prev))."""
+    s = prev.store
+    return s.box(s.or_(s.var("y"), s.box(s.or_(s.var("z"), prev))))
 
 
 def boxdot_power(n: int, pivot: str = "x", store: TermStore | None = None) -> Term:

@@ -7,6 +7,11 @@ against each other and a term is evaluated over the full product space in a
 handful of vectorized operations. Scans read the space in C order, first
 variable most significant, which makes "the first countermodel" a single
 well-defined index shared with the scalar scan order.
+
+The evaluation itself is kripke.evaluate_nodes, the loop the scalar
+evaluators run on ints. This module supplies only its array backend (a zero
+array of the right rank, and the mask, successor sets and world bits as
+uint64 scalars) and the variable axes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from . import terms
 from .errors import InputError
-from .kripke import Frame
+from .kripke import Frame, evaluate_gap, evaluate_nodes
 from .terms import Statement, Term
 
 _BLOCK_ENTRIES = 1 << 20  # combine-block budget for the scan
@@ -41,73 +46,30 @@ class SpaceEvaluator:
         self.names = list(names)
         self.pin = dict(pin or {})
         self.size = 1 << frame.worlds
-        self.mask = np.uint64(frame.mask)
+        n = len(self.names)
+        self.ops = (np.zeros((1,) * n, dtype=np.uint64), np.uint64(frame.mask),
+                    tuple(np.uint64(s) for s in frame.succ),
+                    tuple(np.uint64(1 << w) for w in range(frame.worlds)))
         self._memo: dict[int, np.ndarray] = {}
         self._store = None
-        n = len(self.names)
-        base = np.arange(self.size, dtype=np.uint64)
         self._vars: dict[str, np.ndarray] = {}
-        for i, name in enumerate(self.names):
-            shape = [1] * n
-            shape[i] = self.size
-            self._vars[name] = base.reshape(shape)
-        self._empty = np.zeros((1,) * n, dtype=np.uint64)
+        if n:
+            base = np.arange(self.size, dtype=np.uint64)
+            for i, name in enumerate(self.names):
+                self._vars[name] = base.reshape((1,) * i + (self.size,) + (1,) * (n - i - 1))
 
     def evaluate(self, term: Term) -> np.ndarray:
-        if self._store is None:
-            self._store = term.store
-        elif self._store is not term.store:
-            raise InputError("evaluator cache already bound to a different term store")
-        memo = self._memo
-        mask = self.mask
-        succ = self.frame.succ
-        worlds = self.frame.worlds
-
-        def go(t: Term) -> np.ndarray:
-            hit = memo.get(t.uid)
-            if hit is not None:
-                return hit
-            kind = t.kind
-            if kind == terms.VAR:
-                out = self._vars.get(t.name)
-                if out is None:
-                    out = self._empty | np.uint64(self.pin.get(t.name, 0))
-            elif kind == terms.TOP:
-                out = self._empty | mask
-            elif kind == terms.BOT:
-                out = self._empty
-            elif kind == terms.NOT:
-                out = mask ^ go(t.args[0])
-            elif kind == terms.AND:
-                out = go(t.args[0]) & go(t.args[1])
-            elif kind == terms.OR:
-                out = go(t.args[0]) | go(t.args[1])
-            elif kind == terms.IMP:
-                out = (mask ^ go(t.args[0])) | go(t.args[1])
-            elif kind == terms.BOX:
-                inner = go(t.args[0])
-                out = np.zeros_like(inner)
-                for w in range(worlds):
-                    s = np.uint64(succ[w])
-                    out |= ((inner & s) == s).astype(np.uint64) << np.uint64(w)
-            else:
-                inner = go(t.args[0])
-                out = np.zeros_like(inner)
-                for w in range(worlds):
-                    s = np.uint64(succ[w])
-                    out |= ((inner & s) != 0).astype(np.uint64) << np.uint64(w)
-            memo[t.uid] = out
-            return out
-
-        return go(term)
+        return evaluate_nodes(self, (term,), self._memo, self._leaf)[0]
 
     def gap(self, stmt: Statement) -> np.ndarray:
         """Bitset array of worlds where the statement fails, per assignment."""
-        lhs = self.evaluate(stmt.lhs)
-        rhs = self.evaluate(stmt.rhs)
-        if stmt.kind == terms.EQ:
-            return lhs ^ rhs
-        return lhs & (self.mask ^ rhs)
+        return evaluate_gap(self, stmt, self._memo, self._leaf)
+
+    def _leaf(self, name: str) -> np.ndarray:
+        out = self._vars.get(name)
+        if out is None:
+            out = self.ops[0] | np.uint64(self.pin.get(name, 0))
+        return out
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:

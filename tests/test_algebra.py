@@ -1,5 +1,8 @@
 """Validity search, transitivity degrees, fixpoint indices, and stabilization."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,3 +189,24 @@ class TestUniformStabilization:
         a = uniform_stabilization(small, diamond_term(), "x")
         b = uniform_stabilization(more, diamond_term(), "x")
         assert a == 0 and b == 1 and b >= a
+
+
+def test_closed_statement_on_the_largest_frame():
+    report = check_validity(make_chain(64), parse_statement("T = T"))
+    assert report.verdict == "valid" and report.valuations_tried == 1
+
+
+def test_finished_check_frees_its_node_arrays_without_the_collector():
+    stmt = parse_statement("tpow(2) = tpow(3)", TermStore())
+    check_validity(make_chain(2), stmt, ["x", "y", "z"])  # one-time caches
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_validity(make_chain(6), stmt, ["x", "y", "z"])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert report.verdict == "countermodel"
+    assert held < 1 << 20

@@ -101,3 +101,23 @@ def test_chain_models_cover_all_loop_choices():
     assert len(models) == 8
     assert all(m.valuation == lemma_valuation(1) for m in models)
     assert models[0].frame == make_chain(3)
+
+
+def test_make_chain_respects_the_world_cap():
+    assert make_chain(64).worlds == 64
+    with pytest.raises(CapExceededError):
+        make_chain(65)
+
+
+def test_certificate_builds_each_approximant_once():
+    class CountingStore(TermStore):
+        calls = 0
+
+        def make(self, *args, **kwargs):
+            CountingStore.calls += 1
+            return super().make(*args, **kwargs)
+
+    for n in (5, 10):
+        CountingStore.calls = 0
+        assert check_lemma(n, store=CountingStore()).valid
+        assert CountingStore.calls <= 8 * (n + 3)

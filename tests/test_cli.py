@@ -233,3 +233,34 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as info:
             main(["chains", "--size", "2", "--frobnicate"])
         assert info.value.code == 2
+
+
+class TestDeepInput:
+    """Inputs deep enough to exhaust Python's recursion limit get an answer
+    or a clean refusal, never a traceback."""
+
+    def test_check_valid_on_a_deep_macro(self, capsys):
+        code, payload = run_json(capsys, ["check-valid", "--frame", "chain:1",
+                                          "--stmt", "tpow(150) = x"])
+        assert code in (0, 1)
+        assert payload["verdict"] in ("valid", "countermodel")
+
+    @pytest.mark.parametrize("formula", ["~" * 1000 + "x", "[]" * 1000 + "x",
+                                         "<>" * 1000 + "x", " -> ".join(["x"] * 1000)])
+    def test_long_operator_runs_evaluate(self, capsys, formula):
+        code, payload = run_json(capsys, ["eval", "--frame", "chain:2",
+                                          "--formula", formula, "--val", '{"x": [1]}'])
+        assert code in (0, 1)
+        assert payload["holds_globally"] == (code == 0)
+
+    def test_deep_parentheses_are_an_input_error(self, capsys):
+        code, _, err = run(capsys, ["eval", "--frame", "chain:2",
+                                    "--formula", "(" * 400 + "x" + ")" * 400])
+        assert code == 2
+        assert err.startswith("error:") and "column 101" in err
+
+    def test_chain_spec_past_the_world_cap_is_refused(self, capsys):
+        code, out, err = run(capsys, ["eval", "--frame", "chain:100",
+                                      "--formula", "x", "--json"])
+        assert code == 3
+        assert out == "" and err.startswith("refused:")

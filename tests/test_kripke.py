@@ -12,7 +12,9 @@ from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                frame_to_json, holds_globally, load_frame,
                                valuation_from_json, worlds_to_bits)
 from modalbench.chains import lemma_valuation, make_chain
+from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, chain_term, eq, iterate, leq
+from modalbench.vector import SpaceEvaluator
 
 from oracles import naive_eval, naive_fails
 from strategies import build_term, frames, term_plans, valuations_for
@@ -186,3 +188,14 @@ class TestEvaluator:
         sets = {n: set(bits_to_worlds(b)) for n, b in assignment.items()}
         assert Evaluator(frame).statement_gap(stmt, assignment) == \
             worlds_to_bits(naive_fails(frame, sets, stmt))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
+    frame, valuation = make_chain(2 * n + 1), lemma_valuation(n)
+    assignment = {name: valuation.bits(name) for name in ("x", "y", "z")}
+    t = parse_formula("tpow(200)", TermStore())
+    scalar = evaluate(Model(frame, valuation), t)
+    per_assignment = Evaluator(frame).evaluate(t, assignment)
+    vector = SpaceEvaluator(frame, [], pin=assignment).evaluate(t)
+    assert scalar == per_assignment == int(vector.reshape(())) == frame.mask

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 
 from modalbench.errors import InputError
-from modalbench.syntax import (DISPLAY_NODE_CAP, ParseError, format_statement,
-                               format_term, parse_formula, parse_statement,
-                               tokenize)
+from modalbench.syntax import (_NESTING_CAP, DISPLAY_NODE_CAP, ParseError,
+                               format_statement, format_term, parse_formula,
+                               parse_statement, tokenize)
 from modalbench.terms import (EQ, LEQ, TermStore, chain_term, diamond_term,
                               iterate, node_count, s_term, tree_size)
 
@@ -205,3 +205,29 @@ class TestRoundTrip:
         again = parse_statement(format_statement(stmt), store)
         assert again.kind == stmt.kind
         assert again.lhs is stmt.lhs and again.rhs is stmt.rhs
+
+
+class TestDepth:
+    def test_long_prefix_runs_parse_without_recursion(self, store):
+        t = parse_formula("~[]<>" * 400 + "x", store)
+        assert node_count(t) == 1201
+        assert t.kind == "not" and t.args[0].kind == "box"
+
+    def test_long_implication_chain_folds_to_the_right(self, store):
+        x = store.var("x")
+        t = parse_formula(" -> ".join(["x"] * 1000), store)
+        assert node_count(t) == 1000
+        assert t is store.imp(x, t.args[1]) and t.args[1].args[0] is x
+
+    def test_deep_prefix_chain_round_trips(self, store):
+        t = store.var("x")
+        for _ in range(1000):
+            t = store.not_(t)
+        assert parse_formula(format_term(t), store) is t
+
+    def test_nesting_cap(self, store):
+        deep = "(" * _NESTING_CAP + "x" + ")" * _NESTING_CAP
+        assert parse_formula(deep, store) is store.var("x")
+        with pytest.raises(ParseError) as info:
+            parse_formula("(" + deep + ")", store)
+        assert (info.value.line, info.value.col) == (1, _NESTING_CAP + 1)

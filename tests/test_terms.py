@@ -154,3 +154,12 @@ def test_iterate_composes(plan, k):
     store = TermStore()
     t = store.or_(store.var("x"), build_term(plan, store))  # ensure pivot occurs
     assert iterate(t, "x", k + 1) is substitute(t, {"x": iterate(t, "x", k)})
+
+
+def test_deep_terms_need_no_recursion(store):
+    deep = iterate(chain_term(store), "x", 200)
+    assert free_vars(iterate(chain_term(store), "x", 150)) == {"x", "y", "z"}
+    assert tree_size(deep) == 2 ** 203 - 7  # the pivot occurs twice per step
+    assert "display cap exceeded" in repr(deep)
+    again = substitute(deep, {"y": store.var("w")})
+    assert free_vars(again) == {"x", "w", "z"} and node_count(again) == node_count(deep)
