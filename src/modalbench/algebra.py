@@ -4,9 +4,10 @@ stabilization of iterated terms over frame families.
 
 Checking a statement under every valuation of k variables on w worlds covers
 2^(k*w) cases, so exhaustive runs are gated by a bit cap and refused beyond
-it; within the cap the whole space is evaluated bit-parallel. A sampling mode
-exists behind a flag for over-cap refutation hunting; it can report a
-countermodel or come back unknown, never valid.
+it; within the cap vector.first_countermodel scans the space block by block,
+bit-parallel. A sampling mode exists behind a flag for over-cap refutation
+hunting; its seeded rows go through the same vectorized combine, and it can
+report a countermodel or come back unknown, never valid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from .errors import CapExceededError, InputError
 from .kripke import Evaluator, Frame, Valuation
 from .terms import Statement, Term, eq, free_vars, iterate, statement_vars
-from .vector import SpaceEvaluator, decode_index, first_countermodel
+from .vector import (SpaceEvaluator, decode_index, first_countermodel,
+                     first_sampled_countermodel)
 
 DEFAULT_BIT_CAP = 24
 PRECHECK_WORLD_CAP = 16
@@ -46,8 +48,7 @@ class ValidityReport:
 
 def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = None, *,
                    bit_cap: int = DEFAULT_BIT_CAP, sampling: bool = False,
-                   sample_count: int = 4096, seed: int = 0,
-                   threads: int = 1) -> ValidityReport:
+                   sample_count: int = 4096, seed: int = 0) -> ValidityReport:
     """Decide whether the statement holds under every valuation of the given
     variables (default: the statement's variables, sorted).
 
@@ -55,7 +56,8 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     the reported countermodel is the lowest-index one. Beyond the cap the call
     refuses unless sampling is enabled; the sampled stream starts with the
     all-empty and all-full valuations and continues with seeded pseudorandom
-    ones, and never concludes "valid"."""
+    ones, is evaluated in batches along one array axis, and never concludes
+    "valid"."""
     names = sorted(statement_vars(stmt)) if variables is None else list(variables)
     worlds = frame.worlds
     bits = len(names) * worlds
@@ -63,7 +65,7 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     if bits <= bit_cap:
         total = 1 << bits
         space = SpaceEvaluator(frame, names)
-        hit = first_countermodel(space, [], stmt, threads=threads)
+        hit = first_countermodel(space, [], stmt)
         if hit is None:
             return ValidityReport("valid", None, total, True)
         idx, _ = hit
@@ -75,24 +77,20 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
             f"{bits} assignment bits exceed the exhaustive cap of {bit_cap}; "
             "enable sampling to hunt for countermodels only")
 
-    evaluator = Evaluator(frame)
-    mask = frame.mask
     rng = random.Random(seed)
 
-    def candidates():
-        yield {name: 0 for name in names}
-        yield {name: mask for name in names}
+    def stream():  # row by row, one bitset per name
+        yield from (0,) * len(names)
+        yield from (frame.mask,) * len(names)
         while True:
-            yield {name: rng.getrandbits(worlds) for name in names}
+            yield rng.getrandbits(worlds)
 
-    tried = 0
-    for assignment in candidates():
-        if tried >= sample_count:
-            break
-        tried += 1
-        if evaluator.statement_gap(stmt, assignment):
-            return ValidityReport("countermodel", Valuation(assignment), tried, False)
-    return ValidityReport("unknown", None, tried, False)
+    count = max(sample_count, 0)
+    hit = first_sampled_countermodel(frame, names, stream(), count, stmt)
+    if hit is None:
+        return ValidityReport("unknown", None, count, False)
+    row, values = hit
+    return ValidityReport("countermodel", Valuation(dict(zip(names, values))), row + 1, False)
 
 
 def transitivity_degree(frame: Frame, max_n: int) -> int | None:

@@ -9,11 +9,11 @@ term, and check_lemma packages the full evidence into a certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import terms
 from .errors import CapExceededError, InputError
-from .kripke import (MAX_WORLDS, Frame, Model, Valuation, bits_to_worlds,
+from .kripke import (Frame, Model, Valuation, bits_to_worlds, check_world_count,
                      evaluate, evaluate_orbit, worlds_to_bits)
 from .terms import TermStore, chain_term, s_step, s_term
 
@@ -38,9 +38,8 @@ class ChainSpec:
 def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
     """The frame for ChainSpec(size, reflexive): edges i -> j for i < j, plus
     a loop at each listed point."""
-    if size > MAX_WORLDS:
-        raise CapExceededError(f"{size} worlds exceeds the {MAX_WORLDS}-world cap")
     spec = ChainSpec(size, frozenset(reflexive))
+    check_world_count(size)
     full = (1 << size) - 1
     succ = []
     for w in range(size):
@@ -172,9 +171,3 @@ def falsifying_path_starts(frame: Frame, valuation: Valuation, m: int,
         can = {w for w in allowed if adj[w] & can}
     return worlds_to_bits(w for w in every if adj[w] & can)
 
-
-def chain_models(n: int, store: TermStore | None = None) -> Sequence[Model]:
-    """The alternating-valuation model on every (2n+1)-chain, ordered as in
-    enumerate_chains."""
-    valuation = lemma_valuation(n)
-    return [Model(frame, valuation) for frame in enumerate_chains(2 * n + 1)]

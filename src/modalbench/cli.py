@@ -102,8 +102,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
     variables = args.vars.split(",") if args.vars else None
     report = check_validity(frame, stmt, variables, bit_cap=args.cap,
                             sampling=args.sample is not None,
-                            sample_count=args.sample or 0, seed=args.seed,
-                            threads=args.threads)
+                            sample_count=args.sample or 0, seed=args.seed)
     payload = {"statement": args.stmt, **report.to_json()}
     if report.verdict == "valid":
         human = f"valid ({report.valuations_tried} valuations)"
@@ -166,7 +165,7 @@ def _cmd_consequence(args: argparse.Namespace) -> int:
     premises = [parse_statement(text) for text in args.premise or []]
     conclusion = parse_statement(args.conclusion)
     problem = ConsequenceProblem(premises, conclusion, frames, max_bits=args.budget)
-    result = check_consequence(problem, threads=args.threads)
+    result = check_consequence(problem)
     if result.holds:
         human = (f"holds on all {len(frames)} frames "
                  f"({result.assignments} assignments covered; finite search only)")
@@ -222,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, nargs="?", const=4096,
                    help="over-cap sampling budget, default 4096 (never concludes valid)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("lemma", _cmd_lemma, "non-stabilization certificate on a (2n+1)-chain")
     p.add_argument("--n", type=int, required=True)
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premise", action="append", default=[])
     p.add_argument("--conclusion", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BIT_CAP)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("stabilize", _cmd_stabilize, "least n where iterates n and n+1 agree")
     p.add_argument("--frame", action="append", default=[])

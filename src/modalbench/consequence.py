@@ -70,13 +70,14 @@ class ConsequenceResult:
         }
 
 
-def check_consequence(problem: ConsequenceProblem, *, threads: int = 1) -> ConsequenceResult:
+def check_consequence(problem: ConsequenceProblem) -> ConsequenceResult:
     """Search every (frame, valuation) pair of the problem for a countermodel.
 
     Frames are scanned in order with early stop, each over its full valuation
-    product space, so the first countermodel is deterministic: lowest frame
-    index, then lowest assignment index. threads split the scan within a
-    frame without changing the answer."""
+    product space in blocks of vector.first_countermodel, so the first
+    countermodel is deterministic: lowest frame index, then lowest assignment
+    index. A premise or conclusion whose own arrays fit one block is evaluated
+    once per frame."""
     variables = problem.variables()
     for frame in problem.frames:
         bits = len(variables) * frame.worlds
@@ -89,7 +90,7 @@ def check_consequence(problem: ConsequenceProblem, *, threads: int = 1) -> Conse
     covered = 0
     for index, frame in enumerate(problem.frames):
         space = SpaceEvaluator(frame, variables)
-        hit = first_countermodel(space, premises, problem.conclusion, threads=threads)
+        hit = first_countermodel(space, premises, problem.conclusion)
         if hit is None:
             covered += 1 << (len(variables) * frame.worlds)
             continue

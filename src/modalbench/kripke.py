@@ -34,8 +34,7 @@ class Frame:
     succ: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.worlds < 0:
-            raise InputError("world count must be nonnegative")
+        check_world_count(self.worlds)
         if len(self.succ) != self.worlds:
             raise InputError("successor table length must equal the world count")
         mask = self.mask
@@ -52,12 +51,19 @@ class Frame:
                 for v in bits_to_worlds(self.succ[w])]
 
 
-def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]],
-                     max_worlds: int = MAX_WORLDS) -> Frame:
+def check_world_count(worlds: int) -> None:
+    """The world-count rule of Frame. Builders that allocate per world call it
+    first, so a refused count costs nothing."""
+    if worlds < 0:
+        raise InputError("world count must be nonnegative")
+    if worlds > MAX_WORLDS:
+        raise CapExceededError(f"{worlds} worlds exceeds the {MAX_WORLDS}-world cap")
+
+
+def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]]) -> Frame:
     """Build a frame from an edge list; edge order is irrelevant and duplicate
-    edges collapse. Worlds beyond the configured cap are refused."""
-    if worlds > max_worlds:
-        raise CapExceededError(f"{worlds} worlds exceeds the {max_worlds}-world cap")
+    edges collapse."""
+    check_world_count(worlds)
     succ = [0] * worlds
     for i, j in edges:
         if not (0 <= i < worlds and 0 <= j < worlds):
@@ -70,7 +76,7 @@ def frame_to_json(frame: Frame) -> dict:
     return {"worlds": frame.worlds, "edges": [[i, j] for i, j in frame.edges()]}
 
 
-def frame_from_json(data: object, max_worlds: int = MAX_WORLDS) -> Frame:
+def frame_from_json(data: object) -> Frame:
     if not isinstance(data, dict):
         raise InputError("frame JSON must be an object")
     try:
@@ -84,16 +90,16 @@ def frame_from_json(data: object, max_worlds: int = MAX_WORLDS) -> Frame:
             isinstance(e, list) and len(e) == 2 and all(isinstance(c, int) for c in e)
             for e in edges):
         raise InputError("frame JSON 'edges' must be a list of [i, j] pairs")
-    return frame_from_edges(worlds, [(i, j) for i, j in edges], max_worlds=max_worlds)
+    return frame_from_edges(worlds, [(i, j) for i, j in edges])
 
 
-def load_frame(path: str, max_worlds: int = MAX_WORLDS) -> Frame:
+def load_frame(path: str) -> Frame:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: {exc}") from None
-    return frame_from_json(data, max_worlds=max_worlds)
+    return frame_from_json(data)
 
 
 def worlds_to_bits(worlds: Iterable[int]) -> int:
@@ -114,12 +120,7 @@ class Valuation:
     __slots__ = ("_bits",)
 
     def __init__(self, bits: Mapping[str, int] | None = None):
-        table = {}
-        for name, b in (bits or {}).items():
-            if b < 0:
-                raise InputError(f"negative bitset for variable {name!r}")
-            table[name] = b
-        self._bits = table
+        self._bits = {name: _checked_bits(name, b) for name, b in (bits or {}).items()}
 
     @classmethod
     def from_sets(cls, sets: Mapping[str, Iterable[int]]) -> "Valuation":
@@ -135,11 +136,7 @@ class Valuation:
         return frozenset(self._bits)
 
     def with_bits(self, name: str, bits: int) -> "Valuation":
-        if bits < 0:
-            raise InputError(f"negative bitset for variable {name!r}")
-        table = dict(self._bits)
-        table[name] = bits
-        return Valuation(table)
+        return Valuation({**self._bits, name: bits})
 
     def to_sets(self) -> dict[str, list[int]]:
         return {name: bits_to_worlds(b) for name, b in sorted(self._bits.items())}
@@ -152,6 +149,15 @@ class Valuation:
 
     def __repr__(self) -> str:
         return f"Valuation({self.to_sets()})"
+
+
+def _checked_bits(name: str, bits: object) -> int:
+    if not isinstance(bits, int):
+        raise InputError(f"bitset for variable {name!r} must be an int, "
+                         f"not {type(bits).__name__}")
+    if bits < 0:
+        raise InputError(f"negative bitset for variable {name!r}")
+    return bits
 
 
 def valuation_from_json(data: object) -> Valuation:

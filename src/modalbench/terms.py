@@ -38,7 +38,7 @@ class Term:
     or the module-level builders, which intern nodes so that `a is b` holds
     exactly when a and b are structurally equal terms of the same store."""
 
-    __slots__ = ("kind", "name", "args", "uid", "store", "_free", "_ftup", "_tree")
+    __slots__ = ("kind", "name", "args", "uid", "store", "_free", "_tree")
 
     def __init__(self, kind: str, name: str | None, args: tuple[Term, ...],
                  uid: int, store: "TermStore"):
@@ -48,7 +48,6 @@ class Term:
         self.uid = uid
         self.store = store
         self._free: frozenset[str] | None = None
-        self._ftup: tuple[str, ...] | None = None
         self._tree: int | None = None
 
     def __repr__(self) -> str:
@@ -182,15 +181,6 @@ def free_vars(term: Term) -> frozenset[str]:
     return term._free
 
 
-def free_tuple(term: Term) -> tuple[str, ...]:
-    """free_vars as a sorted tuple, cached; handy as part of cache keys."""
-    cached = term._ftup
-    if cached is None:
-        cached = tuple(sorted(free_vars(term)))
-        term._ftup = cached
-    return cached
-
-
 def walk(term: Term) -> Iterator[Term]:
     """Each distinct DAG node exactly once, children before parents."""
     seen: set[int] = set()
@@ -281,7 +271,12 @@ class Statement:
     def __repr__(self) -> str:
         from .syntax import format_statement
 
-        return f"Statement({format_statement(self, max_nodes=400)})"
+        try:
+            text = format_statement(self, max_nodes=400)
+        except InputError:
+            text = (f"<{node_count(self.lhs)} and {node_count(self.rhs)} DAG nodes, "
+                    "display cap exceeded>")
+        return f"Statement({text})"
 
 
 def eq(lhs: Term, rhs: Term) -> Statement:

@@ -1,4 +1,5 @@
-"""Bit-parallel evaluation of terms over whole valuation spaces.
+"""Bit-parallel evaluation of terms over whole valuation spaces, and the one
+countermodel search.
 
 A SpaceEvaluator fixes a frame and an ordered variable list and evaluates
 each term node as a numpy array of world bitsets, one axis per variable
@@ -12,39 +13,38 @@ The evaluation itself is kripke.evaluate_nodes, the loop the scalar
 evaluators run on ints. This module supplies only its array backend (a zero
 array of the right rank, and the mask, successor sets and world bits as
 uint64 scalars) and the variable axes.
+
+The search reads the space in aligned blocks of at most _BLOCK_ENTRIES
+assignments, so no scan array is larger than one block. A statement whose
+own arrays fit that budget is evaluated once over the whole space and read
+block by block; a larger one is evaluated afresh in each block. Sampled
+validity runs its seeded rows through the same per-block combine, laid along
+one axis.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import terms
-from .errors import InputError
 from .kripke import Frame, evaluate_gap, evaluate_nodes
-from .terms import Statement, Term
+from .terms import Statement, Term, statement_vars
 
-_BLOCK_ENTRIES = 1 << 20  # combine-block budget for the scan
-_NODE_ENTRIES = 1 << 22   # largest per-node array; beyond this, pin and recurse
+_BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
 
 
 class SpaceEvaluator:
     """Vectorized term evaluation over all valuations of `names` on one frame.
 
     Results are uint64 arrays of world bitsets; axis i enumerates the 2^worlds
-    bitsets of names[i] in increasing numeric order. Variables in `pin` are
-    held at the given bitset; variables mentioned nowhere evaluate to the
-    empty set. Nodes are cached by identity, so statements sharing subterms
-    share their arrays."""
+    bitsets of names[i] in increasing numeric order. Variables mentioned
+    nowhere in `names` evaluate to the empty set. Nodes are cached by
+    identity, so statements sharing subterms share their arrays."""
 
-    def __init__(self, frame: Frame, names: list[str],
-                 pin: Mapping[str, int] | None = None):
-        if frame.worlds > 64:
-            raise InputError("vectorized evaluation is limited to 64 worlds")
+    def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
         self.names = list(names)
-        self.pin = dict(pin or {})
         self.size = 1 << frame.worlds
         n = len(self.names)
         self.ops = (np.zeros((1,) * n, dtype=np.uint64), np.uint64(frame.mask),
@@ -52,11 +52,7 @@ class SpaceEvaluator:
                     tuple(np.uint64(1 << w) for w in range(frame.worlds)))
         self._memo: dict[int, np.ndarray] = {}
         self._store = None
-        self._vars: dict[str, np.ndarray] = {}
-        if n:
-            base = np.arange(self.size, dtype=np.uint64)
-            for i, name in enumerate(self.names):
-                self._vars[name] = base.reshape((1,) * i + (self.size,) + (1,) * (n - i - 1))
+        self._axis = {name: i for i, name in enumerate(self.names)}
 
     def evaluate(self, term: Term) -> np.ndarray:
         return evaluate_nodes(self, (term,), self._memo, self._leaf)[0]
@@ -66,95 +62,106 @@ class SpaceEvaluator:
         return evaluate_gap(self, stmt, self._memo, self._leaf)
 
     def _leaf(self, name: str) -> np.ndarray:
-        out = self._vars.get(name)
-        if out is None:
-            out = self.ops[0] | np.uint64(self.pin.get(name, 0))
-        return out
+        return self._values(name, ())
+
+    def _values(self, name: str, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
+        """The bitsets of a variable along its axis: all of them, or those in
+        [lo, hi) = bounds[axis] when a block's bounds are given."""
+        axis = self._axis.get(name)
+        if axis is None:
+            return self.ops[0]
+        lo, hi = bounds[axis] if bounds else (0, self.size)
+        shape = [1] * len(self.names)
+        shape[axis] = hi - lo
+        return np.arange(lo, hi, dtype=np.uint64).reshape(shape)
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:
     """Variable bitsets spelled by a flat scan index (first name most significant)."""
-    size = 1 << worlds
-    values: dict[str, int] = {}
-    for name in reversed(names):
-        flat, value = divmod(flat, size)
-        values[name] = value
-    return values
+    return dict(zip(names, _digits(flat, len(names), 1 << worlds)))
+
+
+def _digits(flat: int, n: int, size: int) -> list[int]:
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        flat, out[i] = divmod(flat, size)
+    return out
 
 
 def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
-                       conclusion: Statement, threads: int = 1):
+                       conclusion: Statement):
     """First assignment (in scan order) satisfying every premise everywhere
     while the conclusion fails somewhere, as (flat index, failure bitset), or
     None. The scan order is C order over `names`, first variable most
-    significant, and the answer does not depend on block size or threads.
+    significant, and the answer does not depend on the block size.
 
-    Memory stays bounded two ways: combine blocks cap the scan buffers, and
-    when some single statement would materialize arrays past the per-node
-    budget, the leading variable is pinned to each value in turn and the rest
-    of the space handled recursively."""
-    names = evaluator.names
-    size = evaluator.size
-    worst = 1
-    for stmt in [*premises, conclusion]:
-        touched = set(names) & set(terms.statement_vars(stmt))
-        worst = max(worst, size ** len(touched))
-    if names and worst > _NODE_ENTRIES:
-        head, rest = names[0], names[1:]
-        stride = size ** len(rest)
-        for value in range(size):
-            sub = SpaceEvaluator(evaluator.frame, rest,
-                                 pin={**evaluator.pin, head: value})
-            hit = first_countermodel(sub, premises, conclusion, threads)
-            if hit is not None:
-                idx, gap = hit
-                return value * stride + idx, gap
+    Blocks are aligned runs of at most _BLOCK_ENTRIES assignments: the
+    trailing variables that fit range over all their values, the variable
+    before them over a power-of-two slice, and the leading ones are held at
+    one value each. The scan stops at the first block holding a countermodel."""
+    names, size = evaluator.names, evaluator.size
+    total = size ** len(names)
+    step = min(total, 1 << _BLOCK_ENTRIES.bit_length() - 1)
+    places = [size ** i for i in reversed(range(len(names)))]
+    # premises before the conclusion: the other order ran five-world
+    # consequence checks about 15% slower, mapping fresh pages for each array
+    stmts = [*premises, conclusion]
+    whole =[evaluator.gap(s) if size ** len(set(names) & statement_vars(s)) <= _BLOCK_ENTRIES
+             else None for s in stmts]
+
+    for start in range(0, total, step):
+        bounds = tuple((d, d + max(1, min(size, step // place)))
+                       for d, place in zip(_digits(start, len(names), size), places))
+        memo: dict = {}
+
+        def gap(k: int) -> np.ndarray:
+            g = whole[k]
+            if g is None:
+                return evaluate_gap(evaluator, stmts[k], memo,
+                                    lambda name: evaluator._values(name, bounds))
+            return g[tuple(slice(lo, hi) if g.shape[i] > 1 else slice(None)
+                           for i, (lo, hi) in enumerate(bounds))]
+
+        shape = tuple(hi - lo for lo, hi in bounds)
+        hit = _first_in_block(shape, gap(-1), (gap(k) for k in range(len(premises))))
+        if hit is not None:
+            return start + hit[0], hit[1]
+    return None
+
+
+def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[int],
+                               count: int, stmt: Statement):
+    """First of `count` rows under which the statement fails somewhere, as
+    (row index, row), or None. `values` yields the rows' bitsets one after
+    another, one per name in the order of `names`; variables outside `names`
+    are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
+    along one axis and evaluated at once."""
+    owner = SpaceEvaluator(frame, [])
+    zero = owner.ops[0]
+    for done in range(0, count, _BLOCK_ENTRIES):
+        rows = min(_BLOCK_ENTRIES, count - done)
+        table = np.fromiter(values, dtype=np.uint64, count=rows * len(names))
+        table = table.reshape(rows, len(names))
+        columns = dict(zip(names, table.T))
+        gap = evaluate_gap(owner, stmt, {}, lambda name: columns.get(name, zero))
+        hit = _first_in_block((rows,), gap, ())
+        if hit is not None:
+            return done + hit[0], tuple(int(v) for v in table[hit[0]])
+    return None
+
+
+def _first_in_block(shape: tuple[int, ...], conc: np.ndarray, premise_gaps: Iterable):
+    """First position, in C order over `shape`, where the conclusion's gap is
+    nonzero and every premise gap is zero, with the conclusion's gap there,
+    or None. Premise gaps are drawn only while some position is still open."""
+    fail = np.empty(shape, dtype=bool)
+    fail[...] = conc != 0
+    for g in premise_gaps:
+        if not fail.any():
+            return None
+        fail &= g == 0
+    flat = fail.reshape(-1)
+    if not flat.any():
         return None
-    return _scan_space(evaluator, premises, conclusion, threads)
-
-
-def _scan_space(evaluator: SpaceEvaluator, premises: list[Statement],
-                conclusion: Statement, threads: int):
-    n = len(evaluator.names)
-    size = evaluator.size
-    prem_gaps = [evaluator.gap(p) for p in premises]
-    conc_gap = evaluator.gap(conclusion)
-
-    if n == 0:
-        ok = all(int(g.reshape(())) == 0 for g in prem_gaps)
-        bad = int(conc_gap.reshape(()))
-        return (0, bad) if ok and bad else None
-
-    stride = size ** (n - 1)
-    block_shape_tail = (size,) * (n - 1)
-
-    def cut(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        return arr[lo:hi] if arr.shape[0] == size else arr
-
-    def scan_span(span_lo: int, span_hi: int):
-        block_len = max(1, _BLOCK_ENTRIES // stride)
-        for lo in range(span_lo, span_hi, block_len):
-            hi = min(lo + block_len, span_hi)
-            shape = (hi - lo,) + block_shape_tail
-            fail = np.empty(shape, dtype=bool)
-            fail[...] = cut(conc_gap, lo, hi) != 0
-            for g in prem_gaps:
-                if not fail.any():
-                    break
-                fail &= cut(g, lo, hi) == 0
-            flat_fail = fail.reshape(-1)
-            if flat_fail.any():
-                local = int(np.argmax(flat_fail))
-                world_bits = np.broadcast_to(cut(conc_gap, lo, hi), shape).reshape(-1)[local]
-                return lo * stride + local, int(world_bits)
-        return None
-
-    if threads > 1 and size >= threads:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunk = -(-size // threads)
-        spans = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = [h for h in pool.map(lambda s: scan_span(*s), spans) if h is not None]
-        return min(hits, default=None)
-    return scan_span(0, size)
+    local = int(np.argmax(flat))
+    return local, int(np.broadcast_to(conc, shape)[np.unravel_index(local, shape)])

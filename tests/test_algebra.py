@@ -1,21 +1,25 @@
 """Validity search, transitivity degrees, fixpoint indices, and stabilization."""
 
 import gc
+import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+import modalbench.vector as vector
 from modalbench.algebra import (DEFAULT_BIT_CAP, FixpointResult, ValidityReport,
                                 check_validity, fixpoint_index, frame_validates,
                                 transitivity_degree, uniform_stabilization)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
 from modalbench.errors import CapExceededError, InputError
-from modalbench.kripke import Evaluator, Frame, Valuation, frame_from_edges
+from modalbench.kripke import (Evaluator, Frame, Valuation, bits_to_worlds,
+                               frame_from_edges)
 from modalbench.syntax import parse_formula, parse_statement
 from modalbench.terms import (TermStore, boxdot_power, chain_term, diamond_term,
-                              eq, iterate, leq, top, var)
+                              eq, iterate, leq, statement_vars, top, var)
 
+from oracles import naive_fails
 from strategies import frames
 
 
@@ -79,10 +83,40 @@ class TestCheckValidity:
         assert report.valuations_tried == 1
         assert report.valuation.to_sets() == {"x": [], "y": [], "z": []}
 
-    def test_threads_do_not_change_the_answer(self, store):
-        frame = make_chain(3)
-        stmt = eq(store.box(store.var("x")), store.var("y"))
-        assert check_validity(frame, stmt) == check_validity(frame, stmt, threads=4)
+    @pytest.mark.parametrize("frame, text, count, seed, least", [
+        (make_chain(13), "x <= x | y", 0, 0, 0),
+        (make_chain(13), "x <= x | y", 1, 0, 1),
+        (make_chain(13), "x <= x | y", 2, 0, 2),
+        (make_chain(13), "x <= x | y", 4096, 0, 4096),
+        (make_chain(13), "x <= <>x", 4096, 0, 2),
+        (make_chain(2), "[]F = F", 4096, 0, 1),
+        (make_chain(13), "x & y & ~z & ~w & v = F", 4096, 2, 6),
+    ], ids=["none", "one", "two", "unknown", "full-row-hit", "closed", "seeded-hit"])
+    def test_sampling_matches_a_naive_row_loop(self, monkeypatch, frame, text, count,
+                                              seed, least):
+        stmt = parse_statement(text)
+        names = sorted(statement_vars(stmt))
+
+        def sample():
+            return check_validity(frame, stmt, bit_cap=-1, sampling=True,
+                                  sample_count=count, seed=seed)
+
+        report = sample()
+        rng = random.Random(seed)
+        want = ValidityReport("unknown", None, count, False)
+        for row in range(count):
+            if row < 2:
+                values = {name: row * frame.mask for name in names}
+            else:
+                values = {name: rng.getrandbits(frame.worlds) for name in names}
+            sets = {name: set(bits_to_worlds(b)) for name, b in values.items()}
+            if naive_fails(frame, sets, stmt):
+                want = ValidityReport("countermodel", Valuation(values), row + 1, False)
+                break
+        assert report == want
+        assert report.valuations_tried >= least
+        monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 2)  # batches of two rows
+        assert sample() == want
 
 
 class TestTransitivityDegree:

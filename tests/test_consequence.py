@@ -114,13 +114,6 @@ def test_premise_strengthening_preserves_holds(store):
     assert check_consequence(stronger).holds
 
 
-def test_threads_do_not_change_the_result(store):
-    sigma, pi = build_sigma_pi(chain_term(store), "x", 1)
-    frames = tuple(enumerate_chains(2))
-    problem = ConsequenceProblem((pi[0],), pi[1], frames)
-    assert check_consequence(problem) == check_consequence(problem, threads=3)
-
-
 @settings(max_examples=25)
 @given(k=st.integers(0, 2), size=st.integers(1, 3))
 def test_higher_iterate_premise_bounds_lower_conclusions(k, size):

@@ -2,15 +2,16 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
 from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                bits_to_worlds, evaluate, evaluate_iterated,
-                               evaluate_orbit, frame_from_edges, frame_from_json,
-                               frame_to_json, holds_globally, load_frame,
-                               valuation_from_json, worlds_to_bits)
+                               evaluate_nodes, evaluate_orbit, frame_from_edges,
+                               frame_from_json, frame_to_json, holds_globally,
+                               load_frame, valuation_from_json, worlds_to_bits)
 from modalbench.chains import lemma_valuation, make_chain
 from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, chain_term, eq, iterate, leq
@@ -67,6 +68,11 @@ def test_valuation_basics():
     assert v == Valuation({"x": 0b101}) and hash(v) == hash(Valuation({"x": 0b101}))
     with pytest.raises(InputError):
         Valuation({"x": -1})
+    for bad in ([0], "1", 1.0, None):
+        with pytest.raises(InputError):
+            Valuation({"x": bad})
+        with pytest.raises(InputError):
+            v.with_bits("x", bad)
     with pytest.raises(InputError):
         valuation_from_json({"x": [0, -1]})
     assert valuation_from_json({"x": [1]}) == Valuation({"x": 0b10})
@@ -197,5 +203,7 @@ def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
     t = parse_formula("tpow(200)", TermStore())
     scalar = evaluate(Model(frame, valuation), t)
     per_assignment = Evaluator(frame).evaluate(t, assignment)
-    vector = SpaceEvaluator(frame, [], pin=assignment).evaluate(t)
-    assert scalar == per_assignment == int(vector.reshape(())) == frame.mask
+    # the vectorized backend at one assignment: rank-0 arrays, no variable axes
+    ev = SpaceEvaluator(frame, [])
+    vector = evaluate_nodes(ev, (t,), {}, lambda name: np.uint64(assignment[name]))[0]
+    assert scalar == per_assignment == int(vector) == frame.mask

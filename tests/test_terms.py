@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from modalbench.errors import InputError
 from modalbench.terms import (Statement, TermStore, boxdot_power, chain_term,
-                              diamond_term, eq, free_tuple, free_vars, iterate,
+                              diamond_term, eq, free_vars, iterate,
                               leq, node_count, plus_closure, s_term,
                               statement_vars, substitute, tree_size, walk)
 
@@ -45,7 +45,6 @@ def test_make_rejects_bad_shapes(store):
 def test_free_vars_and_tuple(store):
     t = chain_term(store)
     assert free_vars(t) == {"x", "y", "z"}
-    assert free_tuple(t) == ("x", "y", "z")
     assert free_vars(store.top()) == frozenset()
 
 
@@ -161,5 +160,6 @@ def test_deep_terms_need_no_recursion(store):
     assert free_vars(iterate(chain_term(store), "x", 150)) == {"x", "y", "z"}
     assert tree_size(deep) == 2 ** 203 - 7  # the pivot occurs twice per step
     assert "display cap exceeded" in repr(deep)
+    assert "display cap exceeded" in repr(eq(deep, store.var("x")))
     again = substitute(deep, {"y": store.var("w")})
     assert free_vars(again) == {"x", "w", "z"} and node_count(again) == node_count(deep)

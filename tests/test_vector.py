@@ -2,17 +2,19 @@
 
 These tests pin the scan contract the rest of the library depends on: C-order
 enumeration with the first variable most significant, lowest-index
-countermodels, and results independent of block size and thread count.
+countermodels, and results independent of the block size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
-from modalbench.errors import InputError
+from modalbench.errors import CapExceededError, InputError
 from modalbench.kripke import Evaluator, Frame, bits_to_worlds
-from modalbench.terms import TermStore, eq, leq
+from modalbench.terms import TermStore, eq, leq, node_count
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
 from oracles import naive_eval, naive_first_countermodel
@@ -82,25 +84,37 @@ def test_result_is_block_size_independent(store, monkeypatch):
 
 
 def test_pinning_recursion_matches_the_flat_scan(store, monkeypatch):
-    # shrink the per-node budget so every leading variable gets pinned
+    # budgets below one statement's arrays: every block is evaluated afresh,
+    # with every variable held (1), the last one sliced (2) or ranging (4)
     frame = Frame(2, (0b11, 0b01))
     stmt = leq(store.box(store.or_(store.var("x"), store.var("y"))),
                store.dia(store.var("z")))
     names = ["x", "y", "z"]
     want = first_countermodel(SpaceEvaluator(frame, names), [], stmt)
-    monkeypatch.setattr(vector, "_NODE_ENTRIES", 4)
-    got = first_countermodel(SpaceEvaluator(frame, names), [], stmt)
-    assert got == want is not None
-    assert got == naive_first_countermodel(frame, names, [], stmt)
+    assert want == naive_first_countermodel(frame, names, [], stmt) is not None
+    for budget in (1, 2, 4):
+        monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+        got = first_countermodel(SpaceEvaluator(frame, names), [], stmt)
+        assert got == want
 
 
-def test_result_is_thread_count_independent(store):
-    frame = Frame(2, (0b10, 0b01))
-    stmt = eq(store.dia(store.var("x")), store.var("y"))
-    names = ["x", "y"]
-    single = first_countermodel(SpaceEvaluator(frame, names), [], stmt, threads=1)
-    multi = first_countermodel(SpaceEvaluator(frame, names), [], stmt, threads=3)
-    assert single == multi is not None
+def test_scan_memory_follows_the_block_not_the_space(store, monkeypatch):
+    budget = 1 << 10
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+    frame = Frame(6, (0b111110, 0b111100, 0b111000, 0b110000, 0b100000, 0))
+    x, y, z = store.var("x"), store.var("y"), store.var("z")
+    stmt = leq(store.and_(store.box(x), store.dia(store.and_(y, z))),
+               store.or_(store.box(x), z))  # valid, so every block is read
+    nodes = node_count(stmt.lhs) + node_count(stmt.rhs)
+    ev = SpaceEvaluator(frame, names=["x", "y", "z"])
+    tracemalloc.start()
+    try:
+        assert first_countermodel(ev, [], stmt) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nodes * budget * 8 + (64 << 10)
+    assert peak * 4 < ev.size ** 3 * 8  # one node array over the space
 
 
 def test_reported_gap_matches_scalar_evaluator(store):
@@ -147,5 +161,5 @@ def test_store_binding_and_world_cap(store):
     ev.evaluate(store.top())
     with pytest.raises(InputError):
         ev.evaluate(TermStore().top())
-    with pytest.raises(InputError):
-        SpaceEvaluator(Frame(65, (0,) * 65), [])
+    with pytest.raises(CapExceededError):
+        Frame(65, (0,) * 65)
