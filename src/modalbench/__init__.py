@@ -12,16 +12,14 @@ from .consequence import (ConsequenceProblem, ConsequenceResult, build_sigma_pi,
                           check_consequence)
 from .errors import CapExceededError, InputError, MissingVariableWarning
 from .kripke import (MAX_WORLDS, Evaluator, Frame, Model, Valuation,
-                     bits_to_worlds, evaluate, evaluate_iterated, evaluate_orbit,
-                     frame_from_edges, frame_from_json, frame_to_json,
-                     holds_globally, load_frame, valuation_from_json,
-                     valuation_to_json, worlds_to_bits)
+                     bits_to_worlds, evaluate, evaluate_orbit, frame_from_edges,
+                     frame_from_json, frame_to_json, holds_globally, load_frame,
+                     valuation_from_json, worlds_to_bits)
 from .syntax import (ParseError, format_statement, format_term, parse_formula,
                      parse_statement)
-from .terms import (Statement, Term, TermStore, and_, bot, box, boxdot_power,
-                    chain_term, dia, diamond_term, eq, free_vars, imp, iterate,
-                    leq, mk, node_count, not_, or_, plus_closure, s_term,
-                    statement_vars, substitute, top, tree_size, var)
+from .terms import (Statement, Term, TermStore, boxdot_power, chain_term,
+                    diamond_term, eq, free_vars, iterate, leq, node_count, s_term,
+                    statement_vars, substitute, tree_size)
 from .vector import SpaceEvaluator, first_countermodel
 
 __version__ = "0.1.0"

@@ -50,7 +50,8 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
                    bit_cap: int = DEFAULT_BIT_CAP, sampling: bool = False,
                    sample_count: int = 4096, seed: int = 0) -> ValidityReport:
     """Decide whether the statement holds under every valuation of the given
-    variables (default: the statement's variables, sorted).
+    variables (default: the statement's variables, sorted). A given list
+    must name every variable of the statement, each once.
 
     Within the bit cap the scan is exhaustive with a deterministic order, so
     the reported countermodel is the lowest-index one. Beyond the cap the call
@@ -58,7 +59,13 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     all-empty and all-full valuations and continues with seeded pseudorandom
     ones, is evaluated in batches along one array axis, and never concludes
     "valid"."""
-    names = sorted(statement_vars(stmt)) if variables is None else list(variables)
+    needed = statement_vars(stmt)
+    names = sorted(needed) if variables is None else list(variables)
+    given = set(names)
+    if len(given) < len(names):
+        raise InputError(f"variable list {names} repeats a name")
+    if not needed <= given:
+        raise InputError(f"variable list {names} omits {', '.join(sorted(needed - given))}")
     worlds = frame.worlds
     bits = len(names) * worlds
 
@@ -148,8 +155,7 @@ class FixpointResult:
 
 
 def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
-                   params: Valuation | None = None, *,
-                   world_cap: int = PRECHECK_WORLD_CAP) -> FixpointResult:
+                   params: Valuation | None = None) -> FixpointResult:
     """Iterate the term's one-step map on the frame from the base bitset until
     it stops moving.
 
@@ -157,10 +163,10 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
     empirically over every pivot value first (single-bit extensions suffice
     for monotonicity), and ineligible terms are refused. Frames too large for
     that precheck are refused outright."""
-    if frame.worlds > world_cap:
+    if frame.worlds > PRECHECK_WORLD_CAP:
         raise CapExceededError(
             f"monotonicity precheck enumerates 2^{frame.worlds} pivot values; "
-            f"cap is {world_cap} worlds")
+            f"cap is {PRECHECK_WORLD_CAP} worlds")
     mask = frame.mask
     if base & ~mask:
         raise InputError("base bitset mentions worlds outside the frame")

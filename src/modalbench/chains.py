@@ -50,11 +50,14 @@ def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
     return Frame(size, tuple(succ))
 
 
-def enumerate_chains(size: int, cap: int = ENUMERATION_CAP) -> list[Frame]:
+def enumerate_chains(size: int) -> list[Frame]:
     """All 2^size chains on the given size, ordered by the bitmask of their
     reflexive set, so index 0 is the irreflexive chain."""
-    if size > cap:
-        raise CapExceededError(f"2^{size} chains exceeds the enumeration cap 2^{cap}")
+    if size < 0:
+        raise InputError("chain size must be nonnegative")
+    if size > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"2^{size} chains exceeds the enumeration cap 2^{ENUMERATION_CAP}")
     return [make_chain(size, bits_to_worlds(mask)) for mask in range(1 << size)]
 
 

@@ -21,10 +21,10 @@ from .algebra import (DEFAULT_BIT_CAP, check_validity, fixpoint_index,
 from .chains import check_lemma, enumerate_chains, make_chain
 from .consequence import ConsequenceProblem, check_consequence
 from .errors import CapExceededError, InputError
-from .kripke import (Frame, Model, Valuation, bits_to_worlds, evaluate,
-                     frame_to_json, load_frame, valuation_from_json)
+from .kripke import (Frame, Model, Valuation, bits_to_worlds, evaluate, frame_to_json,
+                     load_frame, read_json, valuation_from_json, worlds_to_bits)
 from .syntax import parse_formula, parse_statement
-from .terms import free_vars
+from .terms import TermStore, free_vars
 
 _EXIT_CONFIRMED = 0
 _EXIT_REFUTED = 1
@@ -60,13 +60,7 @@ def _world_list(text: str) -> list[int]:
 
 def _valuation_arg(text: str) -> Valuation:
     if text.startswith("@"):
-        try:
-            with open(text[1:], encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise InputError(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{text[1:]}: {exc}") from None
+        data = read_json(text[1:])
     else:
         try:
             data = json.loads(text)
@@ -84,7 +78,7 @@ def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     frame = parse_frame_spec(args.frame)
-    term = parse_formula(args.formula)
+    term = parse_formula(args.formula, args.store)
     valuation = _valuation_arg(args.val) if args.val else Valuation()
     model = Model(frame, valuation)
     bits = evaluate(model, term)
@@ -98,7 +92,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check_valid(args: argparse.Namespace) -> int:
     frame = parse_frame_spec(args.frame)
-    stmt = parse_statement(args.stmt)
+    stmt = parse_statement(args.stmt, args.store)
     variables = args.vars.split(",") if args.vars else None
     report = check_validity(frame, stmt, variables, bit_cap=args.cap,
                             sampling=args.sample is not None,
@@ -119,7 +113,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> int:
-    cert = check_lemma(args.n, _world_list(args.refl))
+    cert = check_lemma(args.n, _world_list(args.refl), args.store)
     _emit(args, cert.to_json(),
           cert.render_table() + f"\ncertificate valid: {cert.valid}")
     return _EXIT_CONFIRMED if cert.valid else _EXIT_REFUTED
@@ -149,10 +143,8 @@ def _cmd_transitivity(args: argparse.Namespace) -> int:
 
 def _cmd_fixpoint(args: argparse.Namespace) -> int:
     frame = parse_frame_spec(args.frame)
-    term = parse_formula(args.term)
-    base = 0
-    for w in _world_list(args.base):
-        base |= 1 << w
+    term = parse_formula(args.term, args.store)
+    base = worlds_to_bits(_world_list(args.base))
     params = _valuation_arg(args.params) if args.params else None
     result = fixpoint_index(frame, term, args.pivot, base, params)
     _emit(args, result.to_json(),
@@ -162,8 +154,8 @@ def _cmd_fixpoint(args: argparse.Namespace) -> int:
 
 def _cmd_consequence(args: argparse.Namespace) -> int:
     frames = [parse_frame_spec(spec) for spec in args.frame]
-    premises = [parse_statement(text) for text in args.premise or []]
-    conclusion = parse_statement(args.conclusion)
+    premises = [parse_statement(text, args.store) for text in args.premise or []]
+    conclusion = parse_statement(args.conclusion, args.store)
     problem = ConsequenceProblem(premises, conclusion, frames, max_bits=args.budget)
     result = check_consequence(problem)
     if result.holds:
@@ -184,7 +176,7 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
         frames.extend(enumerate_chains(args.all_chains))
     if not frames:
         raise InputError("no frames given; use --frame or --all-chains")
-    term = parse_formula(args.term)
+    term = parse_formula(args.term, args.store)
     params = sorted(free_vars(term) - {args.pivot})
     index = uniform_stabilization(frames, term, args.pivot, params, args.max,
                                   bit_cap=args.cap,
@@ -263,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.store = TermStore()  # per call, so in-process calls leave DEFAULT_STORE alone
     try:
         return args.handler(args)
     except InputError as exc:

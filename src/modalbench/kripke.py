@@ -93,18 +93,26 @@ def frame_from_json(data: object) -> Frame:
     return frame_from_edges(worlds, [(i, j) for i, j in edges])
 
 
+def read_json(path: str) -> object:
+    """The JSON document in a file; InputError if unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def load_frame(path: str) -> Frame:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: {exc}") from None
-    return frame_from_json(data)
+    return frame_from_json(read_json(path))
 
 
 def worlds_to_bits(worlds: Iterable[int]) -> int:
+    """The bitset of a world list. A world outside 0..MAX_WORLDS-1 is refused
+    before it is shifted, so no index can ask for a huge or negative shift."""
     bits = 0
     for w in worlds:
+        if not 0 <= w < MAX_WORLDS:
+            raise InputError(f"world {w} is outside 0..{MAX_WORLDS - 1}")
         bits |= 1 << w
     return bits
 
@@ -168,16 +176,12 @@ def valuation_from_json(data: object) -> Valuation:
     return Valuation.from_sets(data)
 
 
-def valuation_to_json(valuation: Valuation) -> dict[str, list[int]]:
-    return valuation.to_sets()
-
-
 class Model:
     """A frame plus a valuation, with a per-model evaluation cache keyed by
     term identity. The cache never needs invalidation because both halves
     are immutable."""
 
-    __slots__ = ("frame", "valuation", "ops", "_memo", "_warned", "_store")
+    __slots__ = ("frame", "valuation", "ops", "_memo", "_warned")
 
     def __init__(self, frame: Frame, valuation: Valuation):
         for name in valuation.names():
@@ -186,9 +190,8 @@ class Model:
         self.frame = frame
         self.valuation = valuation
         self.ops = _int_ops(frame)
-        self._memo: dict[int, int] = {}
+        self._memo: dict[Term, int] = {}
         self._warned: set[str] = set()
-        self._store = None
 
     def _leaf(self, name: str) -> int:
         if name not in self.valuation and name not in self._warned:
@@ -204,29 +207,24 @@ def _int_ops(frame: Frame) -> tuple:
     return 0, frame.mask, frame.succ, tuple(1 << w for w in range(frame.worlds))
 
 
-def evaluate_nodes(owner, roots: Sequence[Term], memo: dict, leaf: Callable) -> list:
-    """Values of the root terms in the complex algebra of owner's frame.
+def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable) -> list:
+    """Values of the root terms in the complex algebra of a frame.
 
-    Every node below the roots that memo (uid -> value) lacks is computed
+    Every node below the roots that memo (term -> value) lacks is computed
     children first with an explicit stack, so term depth is not limited by
-    recursion. owner.ops = (zero, mask, succ, bits) is the backend: ints for
-    the scalar evaluators, numpy uint64 arrays and scalars for the vectorized
+    recursion. ops = (zero, mask, succ, bits) is the backend: ints for the
+    scalar evaluators, numpy uint64 arrays and scalars for the vectorized
     one, combined by the same operators. leaf(name) gives a variable's value.
-    The memo is keyed by uid, which only identifies a node within one store,
-    so owner._store pins the store of the first term evaluated."""
-    for root in roots:
-        if owner._store is None:
-            owner._store = root.store
-        elif owner._store is not root.store:
-            raise InputError("evaluation cache already bound to a different term store")
-    zero, mask, succ, bits = owner.ops
+    Terms key the memo by identity, so terms of several stores share one memo
+    without colliding."""
+    zero, mask, succ, bits = ops
     stack = list(roots)
     while stack:
         t = stack[-1]
-        if t.uid in memo:
+        if t in memo:
             stack.pop()
             continue
-        waiting = [a for a in t.args if a.uid not in memo]
+        waiting = [a for a in t.args if a not in memo]
         if waiting:
             stack += waiting
             continue
@@ -239,15 +237,15 @@ def evaluate_nodes(owner, roots: Sequence[Term], memo: dict, leaf: Callable) -> 
         elif kind == terms.BOT:
             out = zero
         else:
-            a = memo[t.args[0].uid]
+            a = memo[t.args[0]]
             if kind == terms.NOT:
                 out = mask ^ a
             elif kind == terms.AND:
-                out = a & memo[t.args[1].uid]
+                out = a & memo[t.args[1]]
             elif kind == terms.OR:
-                out = a | memo[t.args[1].uid]
+                out = a | memo[t.args[1]]
             elif kind == terms.IMP:
-                out = (mask ^ a) | memo[t.args[1].uid]
+                out = (mask ^ a) | memo[t.args[1]]
             else:
                 # diamond: worlds with a successor in a; box(a) = not dia(not a)
                 if kind == terms.BOX:
@@ -257,24 +255,24 @@ def evaluate_nodes(owner, roots: Sequence[Term], memo: dict, leaf: Callable) -> 
                     out |= ((a & s) != 0) * bit
                 if kind == terms.BOX:
                     out = mask ^ out
-        memo[t.uid] = out
-    return [memo[root.uid] for root in roots]
+        memo[t] = out
+    return [memo[root] for root in roots]
 
 
-def evaluate_gap(owner, stmt: Statement, memo: dict, leaf: Callable):
+def evaluate_gap(ops: tuple, stmt: Statement, memo: dict, leaf: Callable):
     """Worlds where the statement fails: where the sides differ for an
     equation, where lhs holds without rhs for an inequation."""
-    lhs, rhs = evaluate_nodes(owner, (stmt.lhs, stmt.rhs), memo, leaf)
+    lhs, rhs = evaluate_nodes(ops, (stmt.lhs, stmt.rhs), memo, leaf)
     if stmt.kind == terms.EQ:
         return lhs ^ rhs
-    return lhs & (owner.ops[1] ^ rhs)
+    return lhs & (ops[1] ^ rhs)
 
 
 def evaluate(model: Model, term: Term) -> int:
     """Bitset of worlds where the term holds. Box is universal over successors,
     so it holds vacuously at worlds with none; variables missing from the
     valuation evaluate to the empty set, with a one-shot warning each."""
-    return evaluate_nodes(model, (term,), model._memo, model._leaf)[0]
+    return evaluate_nodes(model.ops, (term,), model._memo, model._leaf)[0]
 
 
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
@@ -292,16 +290,10 @@ def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int)
     return orbit
 
 
-def evaluate_iterated(model: Model, term: Term, pivot: str, base: Term, k: int) -> int:
-    """Evaluate the k-th iterate of the term with the pivot seeded by evaluating
-    base. Agrees bit for bit with evaluating the syntactic iterate directly."""
-    return evaluate_orbit(model, term, pivot, evaluate(model, base), k)[-1]
-
-
 def holds_globally(model: Model, stmt: Statement) -> bool:
     """Truth of a statement at every world: equality of the two bitsets for
     equations, bitset inclusion for inequations."""
-    return evaluate_gap(model, stmt, model._memo, model._leaf) == 0
+    return evaluate_gap(model.ops, stmt, model._memo, model._leaf) == 0
 
 
 class Evaluator:
@@ -309,19 +301,18 @@ class Evaluator:
     memo. Assignments are plain dicts of bitsets; absent variables mean
     empty, silently, since enumeration callers control the variable set."""
 
-    __slots__ = ("frame", "ops", "_store")
+    __slots__ = ("frame", "ops")
 
     def __init__(self, frame: Frame):
         self.frame = frame
         self.ops = _int_ops(frame)
-        self._store = None
 
     def evaluate(self, term: Term, assignment: Mapping[str, int]) -> int:
-        return evaluate_nodes(self, (term,), {}, self._leaf_of(assignment))[0]
+        return evaluate_nodes(self.ops, (term,), {}, self._leaf_of(assignment))[0]
 
     def statement_gap(self, stmt: Statement, assignment: Mapping[str, int]) -> int:
         """Bitset of worlds where the statement fails under the assignment."""
-        return evaluate_gap(self, stmt, {}, self._leaf_of(assignment))
+        return evaluate_gap(self.ops, stmt, {}, self._leaf_of(assignment))
 
     def _leaf_of(self, assignment: Mapping[str, int]) -> Callable:
         mask = self.frame.mask

@@ -237,24 +237,24 @@ def format_term(term: Term, max_nodes: int = DISPLAY_NODE_CAP) -> str:
     size = tree_size(term)
     if size > max_nodes:
         raise InputError(f"term expands to {size} nodes, display cap is {max_nodes}")
-    text: dict[int, tuple[str, int]] = {}  # uid -> (text, precedence)
+    text: dict[Term, tuple[str, int]] = {}  # node -> (text, precedence)
 
     def side(t: Term, need: int) -> str:
-        out, prec = text[t.uid]
+        out, prec = text[t]
         return f"({out})" if prec < need else out
 
     for t in terms.walk(term):
         kind = t.kind
         if kind == terms.VAR:
-            text[t.uid] = t.name, 5
+            text[t] = t.name, 5
         elif kind in (terms.TOP, terms.BOT):
-            text[t.uid] = "T" if kind == terms.TOP else "F", 5
+            text[t] = "T" if kind == terms.TOP else "F", 5
         elif kind in _UNARY_SYM:
-            text[t.uid] = _UNARY_SYM[kind] + side(t.args[0], 4), 4
+            text[t] = _UNARY_SYM[kind] + side(t.args[0], 4), 4
         else:
             sep, prec, left, right = _BINARY[kind]
-            text[t.uid] = side(t.args[0], left) + sep + side(t.args[1], right), prec
-    return text[term.uid][0]
+            text[t] = side(t.args[0], left) + sep + side(t.args[1], right), prec
+    return text[term][0]
 
 
 def format_statement(stmt: Statement, max_nodes: int = DISPLAY_NODE_CAP) -> str:

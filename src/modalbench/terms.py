@@ -34,18 +34,18 @@ LEQ = "leq"
 
 
 class Term:
-    """One node of a hash-consed DAG. Never constructed directly; use a TermStore
-    or the module-level builders, which intern nodes so that `a is b` holds
-    exactly when a and b are structurally equal terms of the same store."""
+    """One node of a hash-consed DAG. Never constructed directly; a TermStore
+    interns nodes so that `a is b` holds exactly when a and b are structurally
+    equal terms of the same store. The object is the node's only identity:
+    tables and memos key on it, hashed by identity."""
 
-    __slots__ = ("kind", "name", "args", "uid", "store", "_free", "_tree")
+    __slots__ = ("kind", "name", "args", "store", "_free", "_tree")
 
     def __init__(self, kind: str, name: str | None, args: tuple[Term, ...],
-                 uid: int, store: "TermStore"):
+                 store: "TermStore"):
         self.kind = kind
         self.name = name
         self.args = args
-        self.uid = uid
         self.store = store
         self._free: frozenset[str] | None = None
         self._tree: int | None = None
@@ -64,12 +64,12 @@ class Term:
 
 class TermStore:
     """Interning table for terms. Identity comparisons are only meaningful
-    between terms of the same store; mixing stores raises InputError."""
+    between terms of the same store; building a term from children of two
+    stores raises InputError. Evaluation accepts terms of any store."""
 
     def __init__(self) -> None:
         self._table: dict[tuple, Term] = {}
         self._lock = threading.Lock()
-        self._next_uid = 0
 
     def make(self, kind: str, args: tuple[Term, ...] = (), name: str | None = None) -> Term:
         if kind not in _ARITY:
@@ -81,13 +81,12 @@ class TermStore:
         for a in args:
             if a.store is not self:
                 raise InputError("child term belongs to a different store")
-        key = (kind, name) + tuple(a.uid for a in args)
+        key = (kind, name, args)
         with self._lock:
             hit = self._table.get(key)
             if hit is not None:
                 return hit
-            term = Term(kind, name, args, self._next_uid, self)
-            self._next_uid += 1
+            term = Term(kind, name, args, self)
             self._table[key] = term
             return term
 
@@ -128,49 +127,6 @@ def _store(store: TermStore | None) -> TermStore:
     return DEFAULT_STORE if store is None else store
 
 
-def mk(kind: str, *args: Term, name: str | None = None, store: TermStore | None = None) -> Term:
-    """Generic node builder; children fix the store when present."""
-    if args:
-        store = args[0].store
-    return _store(store).make(kind, args, name=name)
-
-
-def var(name: str, store: TermStore | None = None) -> Term:
-    return _store(store).var(name)
-
-
-def top(store: TermStore | None = None) -> Term:
-    return _store(store).top()
-
-
-def bot(store: TermStore | None = None) -> Term:
-    return _store(store).bot()
-
-
-def not_(t: Term) -> Term:
-    return t.store.not_(t)
-
-
-def and_(a: Term, b: Term) -> Term:
-    return a.store.and_(a, b)
-
-
-def or_(a: Term, b: Term) -> Term:
-    return a.store.or_(a, b)
-
-
-def imp(a: Term, b: Term) -> Term:
-    return a.store.imp(a, b)
-
-
-def box(t: Term) -> Term:
-    return t.store.box(t)
-
-
-def dia(t: Term) -> Term:
-    return t.store.dia(t)
-
-
 def free_vars(term: Term) -> frozenset[str]:
     """Variable names occurring in the term (cached per node)."""
     if term._free is None:
@@ -183,19 +139,19 @@ def free_vars(term: Term) -> frozenset[str]:
 
 def walk(term: Term) -> Iterator[Term]:
     """Each distinct DAG node exactly once, children before parents."""
-    seen: set[int] = set()
+    seen: set[Term] = set()
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
         node, expanded = stack.pop()
-        if node.uid in seen:
+        if node in seen:
             continue
         if expanded or not node.args:
-            seen.add(node.uid)
+            seen.add(node)
             yield node
         else:
             stack.append((node, True))
             for a in node.args:
-                if a.uid not in seen:
+                if a not in seen:
                     stack.append((a, False))
 
 
@@ -220,16 +176,16 @@ def substitute(term: Term, mapping: Mapping[str, Term]) -> Term:
     for repl in mapping.values():
         if repl.store is not store:
             raise InputError("substitution mixes term stores")
-    memo: dict[int, Term] = {}
+    memo: dict[Term, Term] = {}
     for t in walk(term):
         if t.kind == VAR:
             out = mapping.get(t.name, t)
         else:
-            new_args = tuple(memo[a.uid] for a in t.args)
+            new_args = tuple(memo[a] for a in t.args)
             out = t if all(n is o for n, o in zip(new_args, t.args)) \
                 else store.make(t.kind, new_args, name=t.name)
-        memo[t.uid] = out
-    return memo[term.uid]
+        memo[t] = out
+    return memo[term]
 
 
 def iterate(term: Term, pivot: str, k: int) -> Term:
@@ -241,7 +197,7 @@ def iterate(term: Term, pivot: str, k: int) -> Term:
     if pivot not in free_vars(term):
         warnings.warn(f"pivot {pivot!r} does not occur in the term; iteration is constant",
                       stacklevel=2)
-    current = var(pivot, term.store)
+    current = term.store.var(pivot)
     for _ in range(k):
         current = substitute(term, {pivot: current})
     return current
@@ -261,12 +217,6 @@ class Statement:
             raise InputError(f"statement kind must be {EQ!r} or {LEQ!r}, got {self.kind!r}")
         if self.lhs.store is not self.rhs.store:
             raise InputError("statement mixes term stores")
-
-    def as_equation(self) -> "Statement":
-        """The join form: s <= t becomes (s or t) = t, equations unchanged."""
-        if self.kind == EQ:
-            return self
-        return Statement(EQ, or_(self.lhs, self.rhs), self.rhs)
 
     def __repr__(self) -> str:
         from .syntax import format_statement
@@ -334,7 +284,3 @@ def boxdot_power(n: int, pivot: str = "x", store: TermStore | None = None) -> Te
         out = s.and_(out, s.box(out))
     return out
 
-
-def plus_closure(term: Term, pivot: str) -> Term:
-    """The inflationary variant pivot or term, increasing in the pivot by construction."""
-    return or_(var(pivot, term.store), term)

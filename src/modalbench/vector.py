@@ -10,9 +10,9 @@ variable most significant, which makes "the first countermodel" a single
 well-defined index shared with the scalar scan order.
 
 The evaluation itself is kripke.evaluate_nodes, the loop the scalar
-evaluators run on ints. This module supplies only its array backend (a zero
-array of the right rank, and the mask, successor sets and world bits as
-uint64 scalars) and the variable axes.
+evaluators run on ints. This module supplies only its array backend,
+_array_ops (a zero array of the right rank, and the mask, successor sets and
+world bits as uint64 scalars), and the variable axes.
 
 The search reads the space in aligned blocks of at most _BLOCK_ENTRIES
 assignments, so no scan array is larger than one block. A statement whose
@@ -46,20 +46,16 @@ class SpaceEvaluator:
         self.frame = frame
         self.names = list(names)
         self.size = 1 << frame.worlds
-        n = len(self.names)
-        self.ops = (np.zeros((1,) * n, dtype=np.uint64), np.uint64(frame.mask),
-                    tuple(np.uint64(s) for s in frame.succ),
-                    tuple(np.uint64(1 << w) for w in range(frame.worlds)))
-        self._memo: dict[int, np.ndarray] = {}
-        self._store = None
+        self.ops = _array_ops(frame, len(self.names))
+        self._memo: dict[Term, np.ndarray] = {}
         self._axis = {name: i for i, name in enumerate(self.names)}
 
     def evaluate(self, term: Term) -> np.ndarray:
-        return evaluate_nodes(self, (term,), self._memo, self._leaf)[0]
+        return evaluate_nodes(self.ops, (term,), self._memo, self._leaf)[0]
 
     def gap(self, stmt: Statement) -> np.ndarray:
         """Bitset array of worlds where the statement fails, per assignment."""
-        return evaluate_gap(self, stmt, self._memo, self._leaf)
+        return evaluate_gap(self.ops, stmt, self._memo, self._leaf)
 
     def _leaf(self, name: str) -> np.ndarray:
         return self._values(name, ())
@@ -74,6 +70,15 @@ class SpaceEvaluator:
         shape = [1] * len(self.names)
         shape[axis] = hi - lo
         return np.arange(lo, hi, dtype=np.uint64).reshape(shape)
+
+
+def _array_ops(frame: Frame, rank: int) -> tuple:
+    """The array backend of evaluate_nodes: a zero array of the given rank
+    with every axis of length 1, and the mask, successor sets and world bits
+    as uint64 scalars."""
+    return (np.zeros((1,) * rank, dtype=np.uint64), np.uint64(frame.mask),
+            tuple(np.uint64(s) for s in frame.succ),
+            tuple(np.uint64(1 << w) for w in range(frame.worlds)))
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:
@@ -106,8 +111,8 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     # premises before the conclusion: the other order ran five-world
     # consequence checks about 15% slower, mapping fresh pages for each array
     stmts = [*premises, conclusion]
-    whole =[evaluator.gap(s) if size ** len(set(names) & statement_vars(s)) <= _BLOCK_ENTRIES
-             else None for s in stmts]
+    whole = [evaluator.gap(s) if size ** len(set(names) & statement_vars(s)) <= _BLOCK_ENTRIES
+              else None for s in stmts]
 
     for start in range(0, total, step):
         bounds = tuple((d, d + max(1, min(size, step // place)))
@@ -117,7 +122,7 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
         def gap(k: int) -> np.ndarray:
             g = whole[k]
             if g is None:
-                return evaluate_gap(evaluator, stmts[k], memo,
+                return evaluate_gap(evaluator.ops, stmts[k], memo,
                                     lambda name: evaluator._values(name, bounds))
             return g[tuple(slice(lo, hi) if g.shape[i] > 1 else slice(None)
                            for i, (lo, hi) in enumerate(bounds))]
@@ -136,14 +141,14 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
     another, one per name in the order of `names`; variables outside `names`
     are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
     along one axis and evaluated at once."""
-    owner = SpaceEvaluator(frame, [])
-    zero = owner.ops[0]
+    ops = _array_ops(frame, 0)
+    zero = ops[0]
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
         table = np.fromiter(values, dtype=np.uint64, count=rows * len(names))
         table = table.reshape(rows, len(names))
         columns = dict(zip(names, table.T))
-        gap = evaluate_gap(owner, stmt, {}, lambda name: columns.get(name, zero))
+        gap = evaluate_gap(ops, stmt, {}, lambda name: columns.get(name, zero))
         hit = _first_in_block((rows,), gap, ())
         if hit is not None:
             return done + hit[0], tuple(int(v) for v in table[hit[0]])

@@ -17,7 +17,7 @@ from modalbench.kripke import (Evaluator, Frame, Valuation, bits_to_worlds,
                                frame_from_edges)
 from modalbench.syntax import parse_formula, parse_statement
 from modalbench.terms import (TermStore, boxdot_power, chain_term, diamond_term,
-                              eq, iterate, leq, statement_vars, top, var)
+                              eq, iterate, leq, statement_vars)
 
 from oracles import naive_fails
 from strategies import frames
@@ -66,6 +66,16 @@ class TestCheckValidity:
         stmt = leq(store.var("x"), store.var("x"))
         report = check_validity(frame, stmt, ["x", "y", "z"])
         assert report.valuations_tried == 4 ** 3
+
+    def test_variable_list_names_each_statement_variable_once(self, store):
+        stmt = eq(store.var("x"), store.bot())
+        for bad in (["y"], [], ["x", "y", "x"]):
+            with pytest.raises(InputError):
+                check_validity(make_chain(2), stmt, bad)
+        with pytest.raises(InputError, match="repeats"):
+            uniform_stabilization([make_chain(2)], diamond_term(store), "x", ["x"])
+        with pytest.raises(InputError, match="omits"):
+            uniform_stabilization([make_chain(2)], chain_term(store), "x", ["y"])
 
     def test_cap_refusal_and_sampling(self, store):
         frame = make_chain(13)

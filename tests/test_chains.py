@@ -37,6 +37,11 @@ def test_enumerate_chains_order_and_cap():
         enumerate_chains(17)
 
 
+def test_enumerate_chains_refuses_a_negative_size():
+    with pytest.raises(InputError):
+        enumerate_chains(-1)
+
+
 def test_lemma_valuation_alternates():
     v = lemma_valuation(2)
     assert v.to_sets() == {"x": [1, 3], "y": [0, 2, 4], "z": [1, 3]}

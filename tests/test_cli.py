@@ -10,8 +10,10 @@ import json
 import jsonschema
 import pytest
 
+from modalbench import terms
 from modalbench.cli import main
 from modalbench.schemas import schema_for
+from modalbench.terms import TermStore
 
 
 def run(capsys, argv):
@@ -264,3 +266,43 @@ class TestDeepInput:
                                       "--formula", "x", "--json"])
         assert code == 3
         assert out == "" and err.startswith("refused:")
+
+
+class TestRefusedInputs:
+    """Inputs that once escaped as tracebacks (exit 1) or as a wrong verdict."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fixpoint", "--frame", "chain:2", "--term", "<>x|x", "--pivot", "x", "--base=-1"],
+        ["eval", "--frame", "chain:2", "--formula", "x", "--val", '{"x": [100000000]}'],
+        ["chains", "--size=-1"],
+        ["stabilize", "--all-chains=-1", "--term", "x", "--pivot", "x", "--max", "1"],
+        ["check-valid", "--frame", "chain:2", "--stmt", "x = F", "--vars", "y"],
+        ["check-valid", "--frame", "chain:2", "--stmt", "x = F", "--vars", "x,x"],
+        ["eval", "--frame", "no-such-frame.json", "--formula", "x"],
+        ["eval", "--frame", ".", "--formula", "x"],
+    ])
+    def test_input_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--frame", "chain:2", "--formula", "tpow(3) | q_eval",
+     "--val", '{"x": [0], "y": [], "z": [1], "q_eval": [1]}'],
+    ["check-valid", "--frame", "chain:2", "--stmt", "q_check <= <>q_check | q_check"],
+    ["lemma", "--n", "1"],
+    ["chains", "--size", "2"],
+    ["transitivity", "--frame", "chain:2", "--max", "2"],
+    ["fixpoint", "--frame", "chain:2", "--term", "<>q_fix | q_fix", "--pivot", "q_fix"],
+    ["consequence", "--frame", "chain:2", "--premise", "q_con <= x",
+     "--conclusion", "q_con <= <>x | x"],
+    ["stabilize", "--all-chains", "2", "--term", "<>q_st | q_st", "--pivot", "q_st",
+     "--max", "2"],
+])
+def test_calls_leave_the_default_store_alone(capsys, monkeypatch, argv):
+    fresh = TermStore()
+    monkeypatch.setattr(terms, "DEFAULT_STORE", fresh)
+    code, _, err = run(capsys, argv)
+    assert code in (0, 1) and err == ""
+    assert len(fresh._table) == 0

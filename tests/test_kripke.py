@@ -1,6 +1,7 @@
 """Frames, valuations, models, and bitset evaluation against the naive oracle."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
 from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
-                               bits_to_worlds, evaluate, evaluate_iterated,
-                               evaluate_nodes, evaluate_orbit, frame_from_edges,
+                               bits_to_worlds, evaluate, evaluate_nodes,
+                               evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
                                load_frame, valuation_from_json, worlds_to_bits)
 from modalbench.chains import lemma_valuation, make_chain
@@ -55,6 +56,21 @@ def test_frame_json_round_trip(tmp_path):
 @given(st.sets(st.integers(0, 63)))
 def test_world_bitset_round_trip(worlds):
     assert set(bits_to_worlds(worlds_to_bits(worlds))) == worlds
+
+
+def test_world_indices_are_bounded_before_shifting():
+    for bad in ([-1], [64], [10 ** 11]):
+        with pytest.raises(InputError, match="outside 0..63"):
+            worlds_to_bits(bad)
+    assert worlds_to_bits([0, 63]) == 1 | 1 << 63
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError):
+            valuation_from_json({"x": [10 ** 8]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_valuation_basics():
@@ -109,11 +125,13 @@ def test_missing_variable_warns_once(store):
         assert evaluate(model, store.or_(store.var("q"), store.var("q"))) == 0
 
 
-def test_model_is_bound_to_one_store(store):
-    model = Model(make_chain(2), Valuation())
-    evaluate(model, store.top())
-    with pytest.raises(InputError):
-        evaluate(model, TermStore().top())
+def test_model_evaluates_terms_of_two_stores(store):
+    model = Model(make_chain(2), Valuation({"x": 0b10}))
+    other = TermStore()
+    assert evaluate(model, store.top()) == 0b11
+    assert evaluate(model, other.top()) == 0b11
+    assert evaluate(model, store.box(store.var("x"))) == 0b11
+    assert evaluate(model, other.dia(other.var("x"))) == 0b01
 
 
 @given(frame=frames(), plan=term_plans())
@@ -143,7 +161,7 @@ def test_iterated_evaluation_matches_syntactic_iterate(data, k):
     store = TermStore()
     t = chain_term(store)
     model = Model(frame, valuation)
-    assert evaluate_iterated(model, t, "x", store.var("x"), k) == \
+    assert evaluate_orbit(model, t, "x", valuation.bits("x"), k)[-1] == \
         evaluate(model, iterate(t, "x", k))
 
 
@@ -180,9 +198,10 @@ class TestEvaluator:
 
     def test_store_binding(self, store):
         ev = Evaluator(make_chain(2))
-        ev.evaluate(store.top(), {})
-        with pytest.raises(InputError):
-            ev.evaluate(TermStore().top(), {})
+        other = TermStore()
+        assert ev.evaluate(store.top(), {}) == ev.evaluate(other.top(), {}) == 0b11
+        assert ev.evaluate(store.dia(store.var("x")), {"x": 0b10}) == 0b01
+        assert ev.evaluate(other.dia(other.var("x")), {"x": 0b11}) == 0b01
 
     @given(data=st.data(), plan=term_plans())
     def test_gap_matches_naive_failure_set(self, data, plan):
@@ -205,5 +224,5 @@ def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
     per_assignment = Evaluator(frame).evaluate(t, assignment)
     # the vectorized backend at one assignment: rank-0 arrays, no variable axes
     ev = SpaceEvaluator(frame, [])
-    vector = evaluate_nodes(ev, (t,), {}, lambda name: np.uint64(assignment[name]))[0]
+    vector = evaluate_nodes(ev.ops, (t,), {}, lambda name: np.uint64(assignment[name]))[0]
     assert scalar == per_assignment == int(vector) == frame.mask

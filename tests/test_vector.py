@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
-from modalbench.errors import CapExceededError, InputError
+from modalbench.errors import CapExceededError
 from modalbench.kripke import Evaluator, Frame, bits_to_worlds
 from modalbench.terms import TermStore, eq, leq, node_count
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
@@ -158,8 +158,9 @@ def test_decode_index_round_trip(idx):
 
 def test_store_binding_and_world_cap(store):
     ev = SpaceEvaluator(Frame(1, (0,)), ["x"])
-    ev.evaluate(store.top())
-    with pytest.raises(InputError):
-        ev.evaluate(TermStore().top())
+    other = TermStore()
+    assert [int(v) for v in ev.evaluate(store.top())] == [1]
+    assert [int(v) for v in ev.evaluate(other.top())] == [1]
+    assert [int(v) for v in ev.evaluate(other.not_(other.var("x")))] == [1, 0]
     with pytest.raises(CapExceededError):
         Frame(65, (0,) * 65)
