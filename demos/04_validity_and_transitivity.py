@@ -35,7 +35,7 @@ except CapExceededError as exc:
 
 # Sampling starts at the all-empty valuation, which here already separates
 # the first two iterates of the chain step.
-report = check_validity(big, stmt, sampling=True)
+report = check_validity(big, stmt, samples=4096)
 print("sampled:", report.verdict,
       f"(tried {report.valuations_tried}, exhaustive={report.exhaustive})")
 

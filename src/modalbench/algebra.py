@@ -5,9 +5,9 @@ stabilization of iterated terms over frame families.
 Checking a statement under every valuation of k variables on w worlds covers
 2^(k*w) cases, so exhaustive runs are gated by a bit cap and refused beyond
 it; within the cap vector.first_countermodel scans the space block by block,
-bit-parallel. A sampling mode exists behind a flag for over-cap refutation
-hunting; its seeded rows go through the same vectorized combine, and it can
-report a countermodel or come back unknown, never valid.
+bit-parallel. Given a sample count, over-cap checks hunt for a refutation
+instead; the seeded rows go through the same vectorized combine, and the hunt
+can report a countermodel or come back unknown, never valid.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
 from .kripke import Evaluator, Frame, Valuation
-from .terms import Statement, Term, eq, free_vars, iterate, statement_vars
+from .terms import VAR_NAME, Statement, Term, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
 
@@ -47,20 +47,25 @@ class ValidityReport:
 
 
 def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = None, *,
-                   bit_cap: int = DEFAULT_BIT_CAP, sampling: bool = False,
-                   sample_count: int = 4096, seed: int = 0) -> ValidityReport:
+                   bit_cap: int = DEFAULT_BIT_CAP, samples: int | None = None,
+                   seed: int = 0) -> ValidityReport:
     """Decide whether the statement holds under every valuation of the given
     variables (default: the statement's variables, sorted). A given list
-    must name every variable of the statement, each once.
+    must name every variable of the statement, each once, and nothing that
+    is not a variable name.
 
     Within the bit cap the scan is exhaustive with a deterministic order, so
     the reported countermodel is the lowest-index one. Beyond the cap the call
-    refuses unless sampling is enabled; the sampled stream starts with the
-    all-empty and all-full valuations and continues with seeded pseudorandom
-    ones, is evaluated in batches along one array axis, and never concludes
-    "valid"."""
+    refuses unless given a number of samples to try: the all-empty and
+    all-full valuations, then seeded pseudorandom ones, in batches along one
+    array axis. Sampling never concludes "valid"."""
+    if samples is not None and samples < 0:
+        raise InputError(f"sample count must be nonnegative, got {samples}")
     needed = statement_vars(stmt)
     names = sorted(needed) if variables is None else list(variables)
+    bad = [n for n in names if not (isinstance(n, str) and VAR_NAME.fullmatch(n))]
+    if bad:
+        raise InputError(f"variable list {names} holds non-names {bad}")
     given = set(names)
     if len(given) < len(names):
         raise InputError(f"variable list {names} repeats a name")
@@ -79,10 +84,10 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
         valuation = Valuation(decode_index(idx, names, worlds))
         return ValidityReport("countermodel", valuation, idx + 1, True)
 
-    if not sampling:
+    if samples is None:
         raise CapExceededError(
             f"{bits} assignment bits exceed the exhaustive cap of {bit_cap}; "
-            "enable sampling to hunt for countermodels only")
+            "give a sample count to hunt for countermodels only")
 
     rng = random.Random(seed)
 
@@ -92,10 +97,9 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
         while True:
             yield rng.getrandbits(worlds)
 
-    count = max(sample_count, 0)
-    hit = first_sampled_countermodel(frame, names, stream(), count, stmt)
+    hit = first_sampled_countermodel(frame, names, stream(), samples, stmt)
     if hit is None:
-        return ValidityReport("unknown", None, count, False)
+        return ValidityReport("unknown", None, samples, False)
     row, values = hit
     return ValidityReport("countermodel", Valuation(dict(zip(names, values))), row + 1, False)
 
@@ -124,16 +128,11 @@ def transitivity_degree(frame: Frame, max_n: int) -> int | None:
     return None
 
 
-def frame_validates(frame: Frame, axioms: list[Term], *,
-                    bit_cap: int = DEFAULT_BIT_CAP) -> bool:
+def frame_validates(frame: Frame, axioms: list[Term]) -> bool:
     """Whether every axiom term evaluates to the full world set under every
     valuation of its variables."""
-    for axiom in axioms:
-        stmt = eq(axiom, axiom.store.top())
-        report = check_validity(frame, stmt, bit_cap=bit_cap)
-        if report.verdict != "valid":
-            return False
-    return True
+    return all(check_validity(frame, eq(axiom, axiom.store.top())).verdict == "valid"
+               for axiom in axioms)
 
 
 @dataclass(frozen=True)
@@ -213,13 +212,14 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
 
 def uniform_stabilization(frames: list[Frame], term: Term, pivot: str,
                           params_vars: list[str] | None = None, max_n: int = 8, *,
-                          bit_cap: int = DEFAULT_BIT_CAP, sampling: bool = False,
-                          sample_count: int = 4096, seed: int = 0) -> int | None:
+                          bit_cap: int = DEFAULT_BIT_CAP, samples: int | None = None,
+                          seed: int = 0) -> int | None:
     """Least n for which iterate n and iterate n+1 of the term coincide as a
     valid equation on every frame in the family, or None if no n up to max_n
     does. A candidate survives only on an exhaustive "valid" for every frame;
-    any countermodel rejects it, and an over-cap frame that sampling fails to
-    refute makes the candidate undecidable, which raises rather than guesses."""
+    any countermodel rejects it, and an over-cap frame that `samples` sampled
+    valuations fail to refute makes the candidate undecidable, which raises
+    rather than guesses."""
     if params_vars is None:
         variables = [pivot] + sorted(free_vars(term) - {pivot})
     else:
@@ -230,8 +230,7 @@ def uniform_stabilization(frames: list[Frame], term: Term, pivot: str,
         uncertain = False
         for frame in frames:
             report = check_validity(frame, stmt, variables, bit_cap=bit_cap,
-                                    sampling=sampling, sample_count=sample_count,
-                                    seed=seed)
+                                    samples=samples, seed=seed)
             if report.verdict == "countermodel":
                 rejected = True
                 break

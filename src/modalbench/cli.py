@@ -95,8 +95,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> int:
     stmt = parse_statement(args.stmt, args.store)
     variables = args.vars.split(",") if args.vars else None
     report = check_validity(frame, stmt, variables, bit_cap=args.cap,
-                            sampling=args.sample is not None,
-                            sample_count=args.sample or 0, seed=args.seed)
+                            samples=args.sample, seed=args.seed)
     payload = {"statement": args.stmt, **report.to_json()}
     if report.verdict == "valid":
         human = f"valid ({report.valuations_tried} valuations)"
@@ -179,9 +178,8 @@ def _cmd_stabilize(args: argparse.Namespace) -> int:
     term = parse_formula(args.term, args.store)
     params = sorted(free_vars(term) - {args.pivot})
     index = uniform_stabilization(frames, term, args.pivot, params, args.max,
-                                  bit_cap=args.cap,
-                                  sampling=args.sample is not None,
-                                  sample_count=args.sample or 0, seed=args.seed)
+                                  bit_cap=args.cap, samples=args.sample,
+                                  seed=args.seed)
     human = (f"stabilizes at {index}" if index is not None
              else f"no stabilization up to {args.max}")
     _emit(args, {"index": index, "max_n": args.max}, human)

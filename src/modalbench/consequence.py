@@ -76,8 +76,8 @@ def check_consequence(problem: ConsequenceProblem) -> ConsequenceResult:
     Frames are scanned in order with early stop, each over its full valuation
     product space in blocks of vector.first_countermodel, so the first
     countermodel is deterministic: lowest frame index, then lowest assignment
-    index. A premise or conclusion whose own arrays fit one block is evaluated
-    once per frame."""
+    index. A premise or conclusion is evaluated again only in a block that
+    moves the range of one of its variables."""
     variables = problem.variables()
     for frame in problem.frames:
         bits = len(variables) * frame.worlds

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping
 
 from .errors import InputError
 
-_VAR_NAME = re.compile(r"[a-z][a-z0-9_]*")
+VAR_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 VAR = "var"
 TOP = "top"
@@ -91,7 +91,7 @@ class TermStore:
             return term
 
     def var(self, name: str) -> Term:
-        if not _VAR_NAME.fullmatch(name):
+        if not VAR_NAME.fullmatch(name):
             raise InputError(f"variable names match [a-z][a-z0-9_]*, got {name!r}")
         return self.make(VAR, name=name)
 

@@ -15,11 +15,10 @@ _array_ops (a zero array of the right rank, and the mask, successor sets and
 world bits as uint64 scalars), and the variable axes.
 
 The search reads the space in aligned blocks of at most _BLOCK_ENTRIES
-assignments, so no scan array is larger than one block. A statement whose
-own arrays fit that budget is evaluated once over the whole space and read
-block by block; a larger one is evaluated afresh in each block. Sampled
-validity runs its seeded rows through the same per-block combine, laid along
-one axis.
+assignments, so no scan array is larger than one block. Every statement is
+evaluated through SpaceEvaluator.gap on the block, which keeps an array for
+as long as the block leaves its variables' ranges alone. Sampled validity
+runs its seeded rows through the same per-block combine, laid along one axis.
 """
 
 from __future__ import annotations
@@ -29,44 +28,59 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .kripke import Frame, evaluate_gap, evaluate_nodes
-from .terms import Statement, Term, statement_vars
+from .terms import Statement, Term, free_vars, statement_vars
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
 
 
 class SpaceEvaluator:
-    """Vectorized term evaluation over all valuations of `names` on one frame.
+    """Vectorized term evaluation over all valuations of `names` on one frame,
+    or over one block of them.
 
-    Results are uint64 arrays of world bitsets; axis i enumerates the 2^worlds
-    bitsets of names[i] in increasing numeric order. Variables mentioned
-    nowhere in `names` evaluate to the empty set. Nodes are cached by
-    identity, so statements sharing subterms share their arrays."""
+    Results are uint64 arrays of world bitsets; axis i enumerates the bitsets
+    of names[i] in the block's [lo, hi) range, in increasing numeric order.
+    Variables mentioned nowhere in `names` evaluate to the empty set. Nodes
+    and statement gaps are cached by identity, so statements sharing subterms
+    share their arrays; entering another block drops only the entries over a
+    variable whose range it changes."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
         self.names = list(names)
         self.size = 1 << frame.worlds
         self.ops = _array_ops(frame, len(self.names))
-        self._memo: dict[Term, np.ndarray] = {}
         self._axis = {name: i for i, name in enumerate(self.names)}
+        self._block = self._whole = ((0, self.size),) * len(self.names)
+        self._memo: dict[Term, np.ndarray] = {}
+        self._gaps: dict[Statement, np.ndarray] = {}
 
     def evaluate(self, term: Term) -> np.ndarray:
+        """The term's array over the whole space."""
+        self._enter(self._whole)
         return evaluate_nodes(self.ops, (term,), self._memo, self._leaf)[0]
 
-    def gap(self, stmt: Statement) -> np.ndarray:
-        """Bitset array of worlds where the statement fails, per assignment."""
-        return evaluate_gap(self.ops, stmt, self._memo, self._leaf)
+    def gap(self, stmt: Statement, block: tuple | None = None) -> np.ndarray:
+        """Bitset array of worlds where the statement fails, per assignment of
+        the block (one [lo, hi) range per name; None is the whole space)."""
+        self._enter(block or self._whole)
+        if stmt not in self._gaps:
+            self._gaps[stmt] = evaluate_gap(self.ops, stmt, self._memo, self._leaf)
+        return self._gaps[stmt]
+
+    def _enter(self, block: tuple) -> None:
+        if block == self._block:
+            return
+        moved = {name for name, old, new in zip(self.names, self._block, block)
+                 if old != new}
+        self._block = block
+        self._memo = {t: v for t, v in self._memo.items() if not moved & free_vars(t)}
+        self._gaps = {s: g for s, g in self._gaps.items() if not moved & statement_vars(s)}
 
     def _leaf(self, name: str) -> np.ndarray:
-        return self._values(name, ())
-
-    def _values(self, name: str, bounds: tuple[tuple[int, int], ...]) -> np.ndarray:
-        """The bitsets of a variable along its axis: all of them, or those in
-        [lo, hi) = bounds[axis] when a block's bounds are given."""
         axis = self._axis.get(name)
         if axis is None:
             return self.ops[0]
-        lo, hi = bounds[axis] if bounds else (0, self.size)
+        lo, hi = self._block[axis]
         shape = [1] * len(self.names)
         shape[axis] = hi - lo
         return np.arange(lo, hi, dtype=np.uint64).reshape(shape)
@@ -103,32 +117,18 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     Blocks are aligned runs of at most _BLOCK_ENTRIES assignments: the
     trailing variables that fit range over all their values, the variable
     before them over a power-of-two slice, and the leading ones are held at
-    one value each. The scan stops at the first block holding a countermodel."""
+    one value each. Every statement is evaluated through evaluator.gap. The
+    scan stops at the first block holding a countermodel."""
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
     step = min(total, 1 << _BLOCK_ENTRIES.bit_length() - 1)
     places = [size ** i for i in reversed(range(len(names)))]
-    # premises before the conclusion: the other order ran five-world
-    # consequence checks about 15% slower, mapping fresh pages for each array
-    stmts = [*premises, conclusion]
-    whole = [evaluator.gap(s) if size ** len(set(names) & statement_vars(s)) <= _BLOCK_ENTRIES
-              else None for s in stmts]
-
     for start in range(0, total, step):
-        bounds = tuple((d, d + max(1, min(size, step // place)))
-                       for d, place in zip(_digits(start, len(names), size), places))
-        memo: dict = {}
-
-        def gap(k: int) -> np.ndarray:
-            g = whole[k]
-            if g is None:
-                return evaluate_gap(evaluator.ops, stmts[k], memo,
-                                    lambda name: evaluator._values(name, bounds))
-            return g[tuple(slice(lo, hi) if g.shape[i] > 1 else slice(None)
-                           for i, (lo, hi) in enumerate(bounds))]
-
-        shape = tuple(hi - lo for lo, hi in bounds)
-        hit = _first_in_block(shape, gap(-1), (gap(k) for k in range(len(premises))))
+        block = tuple((d, d + max(1, min(size, step // place)))
+                      for d, place in zip(_digits(start, len(names), size), places))
+        shape = tuple(hi - lo for lo, hi in block)
+        hit = _first_in_block(shape, evaluator.gap(conclusion, block),
+                              (evaluator.gap(p, block) for p in premises))
         if hit is not None:
             return start + hit[0], hit[1]
     return None

@@ -68,7 +68,8 @@ def test_criterion_2_chain_step_never_stabilizes():
         frames = enumerate_chains(size)
         over_cap = 3 * size > DEFAULT_BIT_CAP  # 9-world chains need sampling
         outcomes[n] = uniform_stabilization(frames, chain_term(), "x",
-                                            ["y", "z"], n, sampling=over_cap)
+                                            ["y", "z"], n,
+                                            samples=4096 if over_cap else None)
     ok = all(index is None for index in outcomes.values())
     assert report(2, ok, f"no stabilization index up to n for n=1..4: {outcomes}")
 

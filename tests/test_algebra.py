@@ -69,7 +69,7 @@ class TestCheckValidity:
 
     def test_variable_list_names_each_statement_variable_once(self, store):
         stmt = eq(store.var("x"), store.bot())
-        for bad in (["y"], [], ["x", "y", "x"]):
+        for bad in (["y"], [], ["x", "y", "x"], ["x", "", "X"], ["x", 1]):
             with pytest.raises(InputError):
                 check_validity(make_chain(2), stmt, bad)
         with pytest.raises(InputError, match="repeats"):
@@ -82,13 +82,15 @@ class TestCheckValidity:
         stmt = leq(store.var("x"), store.or_(store.var("x"), store.var("y")))
         with pytest.raises(CapExceededError):
             check_validity(frame, stmt)
-        report = check_validity(frame, stmt, sampling=True, sample_count=16)
+        report = check_validity(frame, stmt, samples=16)
         assert report.verdict == "unknown" and not report.exhaustive
         assert report.valuations_tried == 16
+        with pytest.raises(InputError, match="nonnegative"):
+            check_validity(frame, stmt, samples=-3)
 
     def test_sampling_starts_with_the_empty_valuation(self):
         report = check_validity(make_chain(9), parse_statement("tpow(4) = tpow(5)"),
-                                sampling=True)
+                                samples=4096)
         assert report.verdict == "countermodel"
         assert report.valuations_tried == 1
         assert report.valuation.to_sets() == {"x": [], "y": [], "z": []}
@@ -108,8 +110,7 @@ class TestCheckValidity:
         names = sorted(statement_vars(stmt))
 
         def sample():
-            return check_validity(frame, stmt, bit_cap=-1, sampling=True,
-                                  sample_count=count, seed=seed)
+            return check_validity(frame, stmt, bit_cap=-1, samples=count, seed=seed)
 
         report = sample()
         rng = random.Random(seed)
@@ -225,7 +226,7 @@ class TestUniformStabilization:
         # 13-chain; candidate 7 survives sampling, which is not good enough
         with pytest.raises(CapExceededError, match="cannot certify"):
             uniform_stabilization([make_chain(13)], chain_term(), "x", max_n=7,
-                                  sampling=True, sample_count=64)
+                                  samples=64)
 
     def test_adding_frames_can_only_raise_the_index(self):
         small = [make_chain(1, (0,))]

@@ -38,3 +38,19 @@ def test_traced_layers_count_the_assignments(harness):
     assert metrics["vector.assignments"] == 4
     assert metrics["vector.evaluators"] == 1
     assert metrics["syntax.parse_calls"] == 1
+
+
+def test_multi_block_checks_trace_one_gap_per_block(harness, monkeypatch):
+    run, spans = harness
+    lib = run.Library()
+    monkeypatch.setattr(lib.vector, "_BLOCK_ENTRIES", 4)
+    tracer = spans.Tracer()
+    tracer.install(lib)
+    try:
+        stmt = lib.syntax.parse_statement("x & y <= x | z")
+        report = lib.algebra.check_validity(lib.chains.make_chain(2), stmt, ["x", "y", "z"])
+    finally:
+        tracer.unpatch()
+    assert report.verdict == "valid" and report.valuations_tried == 64
+    assert tracer.layer_metrics(1)["vector.assignments"] == 64
+    assert sum(span[0] == spans.GAP for span in tracer.spans) == 64 // 4

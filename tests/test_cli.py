@@ -280,6 +280,8 @@ class TestRefusedInputs:
         ["check-valid", "--frame", "chain:2", "--stmt", "x = F", "--vars", "x,x"],
         ["eval", "--frame", "no-such-frame.json", "--formula", "x"],
         ["eval", "--frame", ".", "--formula", "x"],
+        ["check-valid", "--frame", "chain:2", "--stmt", "x = x", "--vars", "x,,X"],
+        ["check-valid", "--frame", "chain:9", "--stmt", "tpow(1) = tpow(2)", "--sample=-3"],
     ])
     def test_input_error(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -84,8 +84,9 @@ def test_result_is_block_size_independent(store, monkeypatch):
 
 
 def test_pinning_recursion_matches_the_flat_scan(store, monkeypatch):
-    # budgets below one statement's arrays: every block is evaluated afresh,
-    # with every variable held (1), the last one sliced (2) or ranging (4)
+    # blocks smaller than the statement's arrays, with every variable held
+    # (1), the last one sliced (2) or ranging (4): each block evaluates again
+    # the nodes over a variable whose range moved
     frame = Frame(2, (0b11, 0b01))
     stmt = leq(store.box(store.or_(store.var("x"), store.var("y"))),
                store.dia(store.var("z")))
@@ -96,6 +97,43 @@ def test_pinning_recursion_matches_the_flat_scan(store, monkeypatch):
         monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
         got = first_countermodel(SpaceEvaluator(frame, names), [], stmt)
         assert got == want
+
+
+@pytest.mark.parametrize("case", ["premise", "shared-nodes", "blocked"])
+def test_premises_hold_across_blocks(store, monkeypatch, case):
+    # premises that move the answer, premises sharing the conclusion's nodes,
+    # and premises that rule out every countermodel
+    frame = Frame(2, (0b11, 0b01))
+    x, y, z = store.var("x"), store.var("y"), store.var("z")
+    step = store.box(store.or_(x, y))
+    premises, conclusion = {
+        "premise": ([eq(x, store.box(y)), leq(z, x)], leq(store.box(x), store.dia(z))),
+        "shared-nodes": ([eq(step, store.or_(x, y))], leq(step, store.or_(z, x))),
+        "blocked": ([leq(x, y), leq(y, store.and_(x, z))], leq(x, z)),
+    }[case]
+    names = ["x", "y", "z"]
+    want = naive_first_countermodel(frame, names, premises, conclusion)
+    assert want != naive_first_countermodel(frame, names, [], conclusion)
+    assert first_countermodel(SpaceEvaluator(frame, names), premises, conclusion) == want
+    for budget in (1, 2, 4):
+        monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+        got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+        assert got == want
+
+
+def test_evaluate_after_a_scan_reads_the_whole_space(store, monkeypatch):
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 4)
+    frame = Frame(2, (0b11, 0b01))
+    step = store.box(store.or_(store.var("x"), store.var("y")))
+    stmt = leq(step, store.or_(step, store.dia(store.var("z"))))  # valid: every block
+    names = ["x", "y", "z"]
+    ev = SpaceEvaluator(frame, names)
+    assert first_countermodel(ev, [], stmt) is None
+    fresh = SpaceEvaluator(frame, names)
+    for got, want in ((ev.evaluate(step), fresh.evaluate(step)),
+                      (ev.gap(stmt), fresh.gap(stmt))):
+        assert got.shape == want.shape and (got == want).all()
+    assert ev.evaluate(step).shape == (4, 4, 1)
 
 
 def test_scan_memory_follows_the_block_not_the_space(store, monkeypatch):
