@@ -14,15 +14,24 @@ evaluators run on ints. This module supplies only its array backend,
 _array_ops (a zero array of the right rank, and the mask, successor sets and
 world bits as uint64 scalars), and the variable axes.
 
-The search reads the space in aligned blocks of at most _BLOCK_ENTRIES
-assignments, so no scan array is larger than one block. Every statement is
-evaluated through SpaceEvaluator.gap on the block, which keeps an array for
-as long as the block leaves its variables' ranges alone. Sampled validity
-runs its seeded rows through the same per-block combine, laid along one axis.
+The search reads the space in aligned blocks, and the block bounds each
+statement's array, not the product: every gap over the block, and every
+intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
+statement is evaluated through SpaceEvaluator.gap on the block, which keeps
+an array for as long as the block leaves its variables' ranges alone. A
+block whose product fits the budget is searched by broadcasting the gaps
+against each other. A larger one, which arises only when a statement omits
+a variable the block ranges over, is searched without an array of its
+shape: by the first nonzero entry of a lone statement's gap, or by variable
+elimination over the premises and the conclusion. A single statement over
+every variable (most validity checks) gains nothing from this: its gap is
+the product. Sampled validity runs its seeded rows through the broadcast
+combine, laid along one axis.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -114,24 +123,101 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     None. The scan order is C order over `names`, first variable most
     significant, and the answer does not depend on the block size.
 
-    Blocks are aligned runs of at most _BLOCK_ENTRIES assignments: the
+    Blocks are aligned runs of a power-of-two number of assignments: the
     trailing variables that fit range over all their values, the variable
     before them over a power-of-two slice, and the leading ones are held at
-    one value each. Every statement is evaluated through evaluator.gap. The
-    scan stops at the first block holding a countermodel."""
+    one value each. The step is the largest at which every statement's own
+    gap over the block has at most _BLOCK_ENTRIES entries, so the block
+    outgrows the budget when no statement mentions every variable it ranges
+    over; the elimination below builds nothing larger. Every statement
+    is evaluated through evaluator.gap. A block whose product fits the
+    budget is searched by broadcasting the gaps against each other. A larger
+    block is never built: with one statement its first nonzero gap entry is
+    the answer, and with premises the lowest countermodel is found by
+    variable elimination (_first_by_elimination). The scan stops at the
+    first block holding a countermodel."""
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
-    step = min(total, 1 << _BLOCK_ENTRIES.bit_length() - 1)
-    places = [size ** i for i in reversed(range(len(names)))]
+    step = _widest_step(names, size, [conclusion, *premises])
+    lengths = _block_lengths(step, size, len(names))
     for start in range(0, total, step):
-        block = tuple((d, d + max(1, min(size, step // place)))
-                      for d, place in zip(_digits(start, len(names), size), places))
-        shape = tuple(hi - lo for lo, hi in block)
-        hit = _first_in_block(shape, evaluator.gap(conclusion, block),
+        block = tuple((d, d + length)
+                      for d, length in zip(_digits(start, len(names), size), lengths))
+        hit = _first_in_block(lengths, evaluator.gap(conclusion, block),
                               (evaluator.gap(p, block) for p in premises))
         if hit is not None:
             return start + hit[0], hit[1]
     return None
+
+
+def _block_lengths(step: int, size: int, n: int) -> tuple[int, ...]:
+    """Per-variable lengths of an aligned block of `step` assignments."""
+    return tuple(max(1, min(size, step // size ** i)) for i in reversed(range(n)))
+
+
+def _widest_step(names: list[str], size: int, statements: list[Statement]) -> int:
+    """The scan's step. A space of at most _BLOCK_ENTRIES assignments is one
+    block, with no questions asked; small frames are most of the consequence
+    checks. Else the step is the largest power of two at which every
+    statement's gap over the block has at most _BLOCK_ENTRIES entries, but
+    no more than 2^52: a block of at most 2^52 entries has at most 52 axes
+    longer than one, einsum's label limit."""
+    total = size ** len(names)
+    floor = 1 << _BLOCK_ENTRIES.bit_length() - 1
+    if total <= floor:
+        return total
+    axis = {name: i for i, name in enumerate(names)}
+    supports = [[axis[v] for v in statement_vars(s) if v in axis] for s in statements]
+    step = min(total, 1 << 52)
+    while step > floor:
+        lengths = _block_lengths(step, size, len(names))
+        if all(prod(lengths[i] for i in support) <= _BLOCK_ENTRIES for support in supports):
+            return step
+        step //= 2
+    return floor
+
+
+def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
+                          premise_gaps: Iterable):
+    """_first_in_block for a block too large to broadcast. Without premises
+    the conclusion's first failure is read off its own shape, where the axes
+    it omits sit at 0. With premises, by bucket elimination over 0/1 float32
+    factors: the conclusion's gap != 0 and each premise's gap == 0, each over
+    its own axes. Axis by axis in scan order, with the earlier axes held at
+    their chosen values, one einsum sums the product of the factors over the
+    later axes, and the axis takes the smallest value whose sum is positive;
+    a sum of 0/1 products is positive exactly when one of them is 1. None if
+    the first axis has no such value. The greedy contraction order builds no
+    intermediate of more than _BLOCK_ENTRIES entries. Premise gaps are drawn
+    only if the conclusion fails somewhere."""
+    if not conc.any():
+        return None
+    ranging = [i for i, n in enumerate(lengths) if n > 1]
+    dims = [lengths[i] for i in ranging]
+
+    def factor(truth: np.ndarray) -> tuple:
+        axes = [a for a, i in enumerate(ranging) if truth.shape[i] > 1]
+        return truth.astype(np.float32).reshape([dims[a] for a in axes]), axes
+
+    factors = [factor(g == 0) for g in premise_gaps]
+    if not factors:
+        local, gap = _first_in_block(conc.shape, conc, ())
+        return int(np.ravel_multi_index(np.unravel_index(local, conc.shape), lengths)), gap
+    factors.insert(0, factor(conc != 0))
+    chosen: list[int] = []
+    for p in range(len(dims)):
+        args = []
+        for array, axes in factors:
+            args += [array[tuple(chosen[a] if a < p else slice(None) for a in axes)],
+                     [a for a in axes if a >= p]]
+        out = [p] if any(p in axes for _, axes in factors) else []
+        marginal = np.einsum(*args, out, optimize=("greedy", _BLOCK_ENTRIES))
+        positive = np.flatnonzero(marginal)
+        if not positive.size:
+            return None
+        chosen.append(int(positive[0]))
+    local = int(np.ravel_multi_index(chosen, dims))
+    return local, int(np.broadcast_to(conc, lengths)[np.unravel_index(local, lengths)])
 
 
 def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[int],
@@ -158,7 +244,11 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
 def _first_in_block(shape: tuple[int, ...], conc: np.ndarray, premise_gaps: Iterable):
     """First position, in C order over `shape`, where the conclusion's gap is
     nonzero and every premise gap is zero, with the conclusion's gap there,
-    or None. Premise gaps are drawn only while some position is still open."""
+    or None. Premise gaps are drawn only while some position is still open.
+    A block of more than _BLOCK_ENTRIES positions is not broadcast but
+    searched by _first_by_elimination."""
+    if prod(shape) > _BLOCK_ENTRIES:
+        return _first_by_elimination(shape, conc, premise_gaps)
     fail = np.empty(shape, dtype=bool)
     fail[...] = conc != 0
     for g in premise_gaps:

@@ -54,3 +54,23 @@ def test_multi_block_checks_trace_one_gap_per_block(harness, monkeypatch):
     assert report.verdict == "valid" and report.valuations_tried == 64
     assert tracer.layer_metrics(1)["vector.assignments"] == 64
     assert sum(span[0] == spans.GAP for span in tracer.spans) == 64 // 4
+
+
+def test_eliminated_consequence_traces_one_gap_per_statement(harness, monkeypatch):
+    # no statement of sigma |= pi_1 mentions all five variables, so with a
+    # budget of 256 a 2-chain is one block of 4^5, searched by elimination
+    run, spans = harness
+    lib = run.Library()
+    monkeypatch.setattr(lib.vector, "_BLOCK_ENTRIES", 256)
+    tracer = spans.Tracer()
+    tracer.install(lib)
+    try:
+        store = lib.terms.TermStore()
+        sigma, pi = lib.consequence.build_sigma_pi(lib.terms.chain_term(store), "x", 1)
+        result = lib.consequence.check_consequence(lib.consequence.ConsequenceProblem(
+            sigma, pi[1], [lib.chains.make_chain(2)], max_bits=25))
+    finally:
+        tracer.unpatch()
+    assert result.holds and result.assignments == 4 ** 5
+    assert tracer.layer_metrics(1)["vector.assignments"] == 4 ** 5
+    assert sum(span[0] == spans.GAP for span in tracer.spans) == len(sigma) + 1

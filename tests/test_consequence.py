@@ -3,13 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modalbench.vector as vector
 from modalbench.chains import enumerate_chains, make_chain
 from modalbench.consequence import (ConsequenceProblem, ConsequenceResult,
                                     build_sigma_pi, check_consequence)
 from modalbench.errors import CapExceededError, InputError
-from modalbench.kripke import Model, holds_globally
+from modalbench.kripke import Model, Valuation, holds_globally
 from modalbench.syntax import format_statement, parse_formula, parse_statement
 from modalbench.terms import TermStore, chain_term, eq, leq
+from modalbench.vector import decode_index
+
+from oracles import naive_first_countermodel
 
 
 def test_sigma_shape_for_the_chain_step(store):
@@ -122,3 +126,35 @@ def test_higher_iterate_premise_bounds_lower_conclusions(k, size):
     frames = tuple(enumerate_chains(size))
     problem = ConsequenceProblem((pi[k + 1],), pi[k], frames)
     assert check_consequence(problem).holds
+
+
+def test_sigma_consequences_match_the_oracle_at_every_block_size(store, monkeypatch):
+    # with a budget of 16, pi_0, z <= y and x <= y let a 2-chain be read in
+    # four blocks of 256, each searched by elimination; pi_1 and pi_2 mention
+    # four of the five variables and keep the broadcast blocks of 16
+    sigma, pi = build_sigma_pi(chain_term(store), "x", 2)
+    conclusions = pi + [parse_statement(text, store) for text in ("z <= y", "x <= y")]
+    names = ["x", "y", "y1", "z", "z1"]
+    frames = [frame for size in (1, 2) for frame in enumerate_chains(size)]
+    eliminated = set()
+    real = vector._first_by_elimination
+    monkeypatch.setattr(vector, "_first_by_elimination",
+                        lambda *args: eliminated.add((frame.worlds, j)) or real(*args))
+    want = {}
+    for budget in (1 << 20, 16):
+        monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+        for i, frame in enumerate(frames):
+            for j, conclusion in enumerate(conclusions):
+                if (i, j) not in want:
+                    want[i, j] = naive_first_countermodel(frame, names, sigma, conclusion)
+                result = check_consequence(ConsequenceProblem(sigma, conclusion, [frame]))
+                hit = want[i, j]
+                assert result.holds == (hit is None) == (j < len(pi))
+                if hit is None:
+                    assert result.assignments == 1 << 5 * frame.worlds
+                    continue
+                idx, gap = hit
+                assert result.assignments == idx + 1
+                assert result.valuation == Valuation(decode_index(idx, names, frame.worlds))
+                assert result.failure_world == (gap & -gap).bit_length() - 1
+    assert {j for worlds, j in eliminated if worlds == 2} == {0, 3, 4}

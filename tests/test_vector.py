@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
+from modalbench.algebra import check_validity
 from modalbench.errors import CapExceededError
 from modalbench.kripke import Evaluator, Frame, bits_to_worlds
 from modalbench.terms import TermStore, eq, leq, node_count
@@ -71,6 +72,35 @@ def test_first_countermodel_with_premises_matches_oracle(data):
     ev = SpaceEvaluator(frame, names)
     assert first_countermodel(ev, premises, conclusion) == \
         naive_first_countermodel(frame, names, premises, conclusion)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_elimination_matches_oracle(data):
+    # premises over different variables, a conclusion without the first one
+    # and a trailing name that no statement mentions: with a small budget the
+    # block outgrows its product and is searched by elimination
+    frame = data.draw(frames(max_worlds=2))
+    names = data.draw(st.sampled_from([["x", "y", "w"], ["x", "y", "z", "w"]]))
+    store = TermStore()
+    def stmt(variables):  # mentions variables[0], maybe the others
+        first = store.var(variables[0])
+        lhs = store.or_(first, build_term(data.draw(term_plans(variables, max_depth=2)), store))
+        rhs = build_term(data.draw(term_plans(variables, max_depth=2)), store)
+        return data.draw(st.sampled_from([eq, leq]))(lhs, rhs)
+    premises = [stmt(("x", "y"))] + ([stmt(("x", "z"))] if "z" in names else [])
+    conclusion = stmt(tuple(n for n in names[1:] if n != "w"))
+    total = (1 << frame.worlds) ** len(names)
+    budget = data.draw(st.sampled_from([b for b in (4, 16) if b < total]))
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_BLOCK_ENTRIES", budget)
+        real = vector._first_by_elimination
+        mp.setattr(vector, "_first_by_elimination",
+                   lambda *args: ran.append(1) or real(*args))
+        got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+    assert ran
+    assert got == naive_first_countermodel(frame, names, premises, conclusion)
 
 
 def test_result_is_block_size_independent(store, monkeypatch):
@@ -153,6 +183,52 @@ def test_scan_memory_follows_the_block_not_the_space(store, monkeypatch):
         tracemalloc.stop()
     assert peak < nodes * budget * 8 + (64 << 10)
     assert peak * 4 < ev.size ** 3 * 8  # one node array over the space
+
+
+def test_elimination_memory_follows_the_statements_not_the_block(store, monkeypatch):
+    budget = 1 << 10
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+    frame = Frame(5, (0b11110, 0b11100, 0b11000, 0b10000, 0))
+    x, y, z, w = (store.var(n) for n in "xyzw")
+    premises = [leq(y, x), leq(x, z), eq(x, store.or_(store.box(w), x))]
+    conclusion = leq(y, store.dia(z))  # fails at the last world
+    statements = premises + [conclusion]
+    nodes = sum(node_count(s.lhs) + node_count(s.rhs) for s in statements)
+    names = ["x", "y", "z", "w"]
+    ran = []
+    real = vector._first_by_elimination
+    monkeypatch.setattr(vector, "_first_by_elimination",
+                        lambda *args: ran.append(1) or real(*args))
+    tracemalloc.start()
+    try:
+        got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ran == [1]  # one block of 2^20 assignments, each statement 2^10 at most
+    assert peak < nodes * budget * 8 + (64 << 10)
+    assert peak * 4 < 32 ** 4  # one byte per assignment of the block
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 1 << 20)  # the broadcast combine
+    assert got == first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+    assert got is not None
+
+
+def test_validity_over_an_unused_variable_reads_the_gap_not_the_block(store, monkeypatch):
+    budget = 1 << 10
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", budget)
+    frame = Frame(6, (0b111110, 0b111100, 0b111000, 0b110000, 0b100000, 0))
+    x, w = store.var("x"), store.var("w")
+    stmt = leq(store.and_(store.box(x), store.dia(w)), store.or_(store.box(x), w))
+    nodes = node_count(stmt.lhs) + node_count(stmt.rhs)
+    tracemalloc.start()
+    try:
+        report = check_validity(frame, stmt, ["x", "y", "z", "w"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "valid" and report.valuations_tried == 1 << 24
+    assert peak < nodes * budget * 8 + (64 << 10)
+    assert peak * 4 < 64 ** 3  # one byte per assignment of a block, x held
 
 
 def test_reported_gap_matches_scalar_evaluator(store):
