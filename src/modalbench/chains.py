@@ -153,8 +153,7 @@ def check_lemma(n: int, reflexive: Iterable[int] = (),
                             s_global, claim_table, valid)
 
 
-def falsifying_path_starts(frame: Frame, valuation: Valuation, m: int,
-                           y: str = "y", z: str = "z") -> int:
+def falsifying_path_starts(frame: Frame, valuation: Valuation, m: int) -> int:
     """Worlds admitting a relation path a0 R a1 R ... R a(2m) whose odd-position
     points falsify y and whose even positions from 2 on falsify z. These are
     exactly the worlds where the m-th pivot-free approximant fails, computed
@@ -165,8 +164,8 @@ def falsifying_path_starts(frame: Frame, valuation: Valuation, m: int,
     if m == 0:
         return worlds_to_bits(every)
     adj = [set(bits_to_worlds(frame.succ[w])) for w in range(frame.worlds)]
-    not_y = {w for w in every if not valuation.bits(y) >> w & 1}
-    not_z = {w for w in every if not valuation.bits(z) >> w & 1}
+    not_y = {w for w in every if not valuation.bits("y") >> w & 1}
+    not_z = {w for w in every if not valuation.bits("z") >> w & 1}
 
     can = not_z  # position 2m
     for position in range(2 * m - 1, 0, -1):

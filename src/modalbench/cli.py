@@ -21,8 +21,9 @@ from .algebra import (DEFAULT_BIT_CAP, check_validity, fixpoint_index,
 from .chains import check_lemma, enumerate_chains, make_chain
 from .consequence import ConsequenceProblem, check_consequence
 from .errors import CapExceededError, InputError
-from .kripke import (Frame, Model, Valuation, bits_to_worlds, evaluate, frame_to_json,
-                     load_frame, read_json, valuation_from_json, worlds_to_bits)
+from .kripke import (Frame, Model, Valuation, bits_to_worlds, decode_json, evaluate,
+                     frame_to_json, load_frame, read_json, valuation_from_json,
+                     worlds_to_bits)
 from .syntax import parse_formula, parse_statement
 from .terms import TermStore, free_vars
 
@@ -60,13 +61,8 @@ def _world_list(text: str) -> list[int]:
 
 def _valuation_arg(text: str) -> Valuation:
     if text.startswith("@"):
-        data = read_json(text[1:])
-    else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad valuation JSON: {exc}") from None
-    return valuation_from_json(data)
+        return valuation_from_json(read_json(text[1:]))
+    return valuation_from_json(decode_json(text, "bad valuation JSON"))
 
 
 def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:

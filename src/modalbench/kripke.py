@@ -93,13 +93,25 @@ def frame_from_json(data: object) -> Frame:
     return frame_from_edges(worlds, [(i, j) for i, j in edges])
 
 
+def decode_json(text: str, source: str) -> object:
+    """The JSON document in text. Any failure to decode it, an integer past
+    int()'s digit limit and nesting past the recursion limit included, is an
+    InputError whose message starts with source."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{source}: {exc}") from None
+
+
 def read_json(path: str) -> object:
-    """The JSON document in a file; InputError if unreadable, not UTF-8 or not JSON."""
+    """The JSON document in a file; InputError if unreadable, not UTF-8 or not
+    a JSON document that decode_json accepts."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except (OSError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
+    return decode_json(text, path)
 
 
 def load_frame(path: str) -> Frame:

@@ -6,135 +6,92 @@ output against them, and downstream tooling can fetch them via schema_for.
 
 from __future__ import annotations
 
-_WORLD_LIST = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 
-_VALUATION = {
-    "type": "object",
-    "additionalProperties": _WORLD_LIST,
-}
+def _record(properties: dict) -> dict:
+    """An object with exactly these properties, each required, in this order."""
+    return {
+        "type": "object",
+        "required": list(properties),
+        "properties": properties,
+        "additionalProperties": False,
+    }
 
-_NULLABLE_VALUATION = {
-    "oneOf": [{"type": "null"}, _VALUATION],
-}
 
-_FRAME = {
-    "type": "object",
-    "required": ["worlds", "edges"],
-    "properties": {
-        "worlds": {"type": "integer", "minimum": 0},
-        "edges": {
+_NAT = {"type": "integer", "minimum": 0}
+_NULLABLE_NAT = {"oneOf": [{"type": "null"}, _NAT]}
+_WORLD_LIST = {"type": "array", "items": _NAT}
+_VALUATION = {"type": "object", "additionalProperties": _WORLD_LIST}
+_NULLABLE_VALUATION = {"oneOf": [{"type": "null"}, _VALUATION]}
+
+_FRAME = _record({
+    "worlds": _NAT,
+    "edges": {
+        "type": "array",
+        "items": {
             "type": "array",
-            "items": {
-                "type": "array",
-                "items": {"type": "integer", "minimum": 0},
-                "minItems": 2,
-                "maxItems": 2,
-            },
+            "items": _NAT,
+            "minItems": 2,
+            "maxItems": 2,
         },
     },
-    "additionalProperties": False,
-}
+})
 
 SCHEMAS: dict[str, dict] = {
-    "eval": {
-        "type": "object",
-        "required": ["formula", "worlds", "holds_globally"],
-        "properties": {
-            "formula": {"type": "string"},
-            "worlds": _WORLD_LIST,
-            "holds_globally": {"type": "boolean"},
+    "eval": _record({
+        "formula": {"type": "string"},
+        "worlds": _WORLD_LIST,
+        "holds_globally": {"type": "boolean"},
+    }),
+    "check-valid": _record({
+        "statement": {"type": "string"},
+        "verdict": {"enum": ["valid", "countermodel", "unknown"]},
+        "valuation": _NULLABLE_VALUATION,
+        "valuations_tried": _NAT,
+        "exhaustive": {"type": "boolean"},
+    }),
+    "lemma": _record({
+        "n": {"type": "integer", "minimum": 1},
+        "worlds": {"type": "integer", "minimum": 3},
+        "reflexive_points": _WORLD_LIST,
+        "valuation": _VALUATION,
+        "fails_at_zero": {"type": "boolean"},
+        "global_next": {"type": "boolean"},
+        "s_global": {
+            "type": "object",
+            "additionalProperties": {"type": "boolean"},
         },
-        "additionalProperties": False,
-    },
-    "check-valid": {
-        "type": "object",
-        "required": ["statement", "verdict", "valuation", "valuations_tried", "exhaustive"],
-        "properties": {
-            "statement": {"type": "string"},
-            "verdict": {"enum": ["valid", "countermodel", "unknown"]},
-            "valuation": _NULLABLE_VALUATION,
-            "valuations_tried": {"type": "integer", "minimum": 0},
-            "exhaustive": {"type": "boolean"},
+        "claim_table": {
+            "type": "object",
+            "additionalProperties": _WORLD_LIST,
         },
-        "additionalProperties": False,
-    },
-    "lemma": {
-        "type": "object",
-        "required": ["n", "worlds", "reflexive_points", "valuation", "fails_at_zero",
-                     "global_next", "s_global", "claim_table", "valid"],
-        "properties": {
-            "n": {"type": "integer", "minimum": 1},
-            "worlds": {"type": "integer", "minimum": 3},
-            "reflexive_points": _WORLD_LIST,
-            "valuation": _VALUATION,
-            "fails_at_zero": {"type": "boolean"},
-            "global_next": {"type": "boolean"},
-            "s_global": {
-                "type": "object",
-                "additionalProperties": {"type": "boolean"},
-            },
-            "claim_table": {
-                "type": "object",
-                "additionalProperties": _WORLD_LIST,
-            },
-            "valid": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "chains": {
-        "type": "object",
-        "required": ["size", "count", "frames"],
-        "properties": {
-            "size": {"type": "integer", "minimum": 0},
-            "count": {"type": "integer", "minimum": 1},
-            "frames": {"type": "array", "items": _FRAME},
-        },
-        "additionalProperties": False,
-    },
-    "transitivity": {
-        "type": "object",
-        "required": ["degree", "max_n"],
-        "properties": {
-            "degree": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
-            "max_n": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "fixpoint": {
-        "type": "object",
-        "required": ["index", "fixpoint", "orbit"],
-        "properties": {
-            "index": {"type": "integer", "minimum": 0},
-            "fixpoint": _WORLD_LIST,
-            "orbit": {"type": "array", "items": _WORLD_LIST, "minItems": 1},
-        },
-        "additionalProperties": False,
-    },
-    "consequence": {
-        "type": "object",
-        "required": ["holds", "complete", "frame_index", "valuation",
-                     "failure_world", "assignments"],
-        "properties": {
-            "holds": {"type": "boolean"},
-            "complete": {"type": "boolean"},
-            "frame_index": {"oneOf": [{"type": "null"},
-                                      {"type": "integer", "minimum": 0}]},
-            "valuation": _NULLABLE_VALUATION,
-            "failure_world": {"oneOf": [{"type": "null"},
-                                        {"type": "integer", "minimum": 0}]},
-            "assignments": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
-    "stabilize": {
-        "type": "object",
-        "required": ["index", "max_n"],
-        "properties": {
-            "index": {"oneOf": [{"type": "null"}, {"type": "integer", "minimum": 0}]},
-            "max_n": {"type": "integer", "minimum": 0},
-        },
-        "additionalProperties": False,
-    },
+        "valid": {"type": "boolean"},
+    }),
+    "chains": _record({
+        "size": _NAT,
+        "count": {"type": "integer", "minimum": 1},
+        "frames": {"type": "array", "items": _FRAME},
+    }),
+    "transitivity": _record({
+        "degree": _NULLABLE_NAT,
+        "max_n": _NAT,
+    }),
+    "fixpoint": _record({
+        "index": _NAT,
+        "fixpoint": _WORLD_LIST,
+        "orbit": {"type": "array", "items": _WORLD_LIST, "minItems": 1},
+    }),
+    "consequence": _record({
+        "holds": {"type": "boolean"},
+        "complete": {"type": "boolean"},
+        "frame_index": _NULLABLE_NAT,
+        "valuation": _NULLABLE_VALUATION,
+        "failure_world": _NULLABLE_NAT,
+        "assignments": _NAT,
+    }),
+    "stabilize": _record({
+        "index": _NULLABLE_NAT,
+        "max_n": _NAT,
+    }),
 }
 
 

@@ -15,6 +15,7 @@ the parser nor the printer recurses over operator runs or term depth.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import terms
@@ -26,8 +27,16 @@ DISPLAY_NODE_CAP = 10_000
 _MACRO_POWER_CAP = 200  # bounds the DAG a short macro call can ask for
 _NESTING_CAP = 100  # parentheses recurse through the parser, about 5 frames a level
 
-_TWO_CHAR = ("[]", "<>", "->", "<=")
-_ONE_CHAR = "~&|()="
+# one token at each position: an operator is its own kind, two-character
+# operators before one-character ones; any other character is refused
+_TOKEN = re.compile("|".join((
+    r"(?P<space>\s+)",
+    r"(?P<op>\[\]|<>|->|<=|[~&|()=])",
+    r"(?P<const>[TF])",
+    rf"(?P<ident>{terms.VAR_NAME.pattern})",
+    r"(?P<num>\d+)",
+    r"(?P<other>.)",
+)), re.DOTALL)
 
 
 class ParseError(InputError):
@@ -50,57 +59,20 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of text, closed by an eof token. A newline starts a new
+    line; every other character, whitespace included, is one column."""
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        pair = text[i:i + 2]
-        if pair in _TWO_CHAR:
-            tokens.append(Token(pair, pair, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _ONE_CHAR:
-            tokens.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c in ("T", "F"):
-            tokens.append(Token("const", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.islower() and c.isalpha() and c.isascii():
-            j = i + 1
-            while j < n and (text[j] == "_" or (text[j].isascii() and
-                                                (text[j].islower() or text[j].isdigit()))):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col, ())
-    tokens.append(Token("eof", "", line, col))
+    line, line_start = 1, 0  # line_start: the index after the last newline
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, col = match.lastgroup, match.group(), match.start() - line_start + 1
+        if kind == "other":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col, ())
+        if kind != "space":
+            tokens.append(Token(lexeme if kind == "op" else kind, lexeme, line, col))
+        elif "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = match.start() + lexeme.rindex("\n") + 1
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -193,10 +165,13 @@ class _Parser:
         self.expect("(", "(")
         num = self.expect("num", "a number")
         self.expect(")", ")")
-        power = int(num.text)
-        if power > _MACRO_POWER_CAP:
-            raise ParseError(f"macro power {power} exceeds the cap {_MACRO_POWER_CAP}",
+        # decimal digits of any script; the cap is checked on their count
+        # first, so int() never meets a number past its digit limit
+        digits = "".join(str(int(d)) for d in num.text).lstrip("0") or "0"
+        if len(digits) > len(str(_MACRO_POWER_CAP)) or int(digits) > _MACRO_POWER_CAP:
+            raise ParseError(f"macro power {digits} exceeds the cap {_MACRO_POWER_CAP}",
                              num.line, num.col, ())
+        power = int(digits)
         if name == "tpow":
             return iterate(chain_term(self.store), "x", power)
         return s_term(power, self.store)

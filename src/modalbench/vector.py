@@ -18,7 +18,7 @@ The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
 intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
 statement is evaluated through SpaceEvaluator.gap on the block, which keeps
-an array for as long as the block leaves its variables' ranges alone. A
+a node's array for as long as the block leaves its variables' ranges alone. A
 block whose product fits the budget is searched by broadcasting the gaps
 against each other. A larger one, which arises only when a statement omits
 a variable the block ranges over, is searched without an array of its
@@ -49,9 +49,9 @@ class SpaceEvaluator:
     Results are uint64 arrays of world bitsets; axis i enumerates the bitsets
     of names[i] in the block's [lo, hi) range, in increasing numeric order.
     Variables mentioned nowhere in `names` evaluate to the empty set. Nodes
-    and statement gaps are cached by identity, so statements sharing subterms
-    share their arrays; entering another block drops only the entries over a
-    variable whose range it changes."""
+    are cached by identity, so statements sharing subterms share their arrays;
+    entering another block drops only the entries over a variable whose range
+    it changes."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
@@ -61,7 +61,6 @@ class SpaceEvaluator:
         self._axis = {name: i for i, name in enumerate(self.names)}
         self._block = self._whole = ((0, self.size),) * len(self.names)
         self._memo: dict[Term, np.ndarray] = {}
-        self._gaps: dict[Statement, np.ndarray] = {}
 
     def evaluate(self, term: Term) -> np.ndarray:
         """The term's array over the whole space."""
@@ -72,9 +71,7 @@ class SpaceEvaluator:
         """Bitset array of worlds where the statement fails, per assignment of
         the block (one [lo, hi) range per name; None is the whole space)."""
         self._enter(block or self._whole)
-        if stmt not in self._gaps:
-            self._gaps[stmt] = evaluate_gap(self.ops, stmt, self._memo, self._leaf)
-        return self._gaps[stmt]
+        return evaluate_gap(self.ops, stmt, self._memo, self._leaf)
 
     def _enter(self, block: tuple) -> None:
         if block == self._block:
@@ -83,7 +80,6 @@ class SpaceEvaluator:
                  if old != new}
         self._block = block
         self._memo = {t: v for t, v in self._memo.items() if not moved & free_vars(t)}
-        self._gaps = {s: g for s, g in self._gaps.items() if not moved & statement_vars(s)}
 
     def _leaf(self, name: str) -> np.ndarray:
         axis = self._axis.get(name)

@@ -12,7 +12,7 @@ import pytest
 
 from modalbench import terms
 from modalbench.cli import main
-from modalbench.schemas import schema_for
+from modalbench.schemas import SCHEMAS, schema_for
 from modalbench.terms import TermStore
 
 
@@ -28,6 +28,15 @@ def run_json(capsys, argv):
     payload = json.loads(out)
     jsonschema.validate(payload, schema_for(argv[0]))
     return code, payload
+
+
+def test_every_record_schema_requires_exactly_its_properties():
+    records = [*SCHEMAS.values(), SCHEMAS["chains"]["properties"]["frames"]["items"]]
+    for schema in records:
+        assert schema == {"type": "object", "required": list(schema["properties"]),
+                          "properties": schema["properties"],
+                          "additionalProperties": False}
+        assert list(schema) == ["type", "required", "properties", "additionalProperties"]
 
 
 class TestEval:

@@ -6,7 +6,8 @@ it or argparse raises SystemExit with it, and must print no traceback. The
 grammar covers every command, `chain:N` frames with N from -2 to 4 (with and
 without self-loop lists, and malformed specs), small formulas with the
 `tpow`/`spow` macros, integer options from -3 to 6, and valuation JSON with
-worlds from -2 to 10^6. `--all-chains` stays within the chain sizes above:
+worlds from -2 to 10^6. Its malformed choices include a non-decimal digit in
+a macro and JSON nested deeper than the decoder's recursion limit. `--all-chains` stays within the chain sizes above:
 at 6 it means 64 exhaustive checks of up to 2^18 valuations per candidate
 index, seconds per example. Well-formed choices are drawn more often than
 malformed ones, so most runs get past parsing.
@@ -23,6 +24,7 @@ from modalbench.cli import main
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 NAMES = ("x", "y", "z")
+DEEP_ARRAY = "[" * 20_000 + "]" * 20_000  # past the JSON decoder's recursion limit
 INTS = st.integers(-3, 6)
 
 
@@ -57,7 +59,7 @@ FORMULAS = mostly(
         st.builds(lambda op, f: f"{op}{f}", st.sampled_from(["~", "[]", "<>"]), inner),
         st.builds(lambda a, op, b: f"({a} {op} {b})", inner,
                   st.sampled_from(["&", "|", "->"]), inner)), max_leaves=4),
-    st.sampled_from(["x |", "(x", "tpow(", "tpow(x)", "Q", ""]),
+    st.sampled_from(["x |", "(x", "tpow(", "tpow(x)", "tpow(²)", "Q", ""]),
 )
 STATEMENTS = mostly(
     st.builds(lambda a, op, b: f"{a} {op} {b}", FORMULAS, st.sampled_from(["=", "<="]),
@@ -67,7 +69,8 @@ STATEMENTS = mostly(
 VALUATIONS = mostly(
     st.dictionaries(st.sampled_from(NAMES + ("q",)), st.lists(WORLDS, max_size=3),
                     max_size=3).map(lambda d: str(d).replace("'", '"')),
-    st.sampled_from(["{x}", "[]", '{"x": 1}', '{"x": [0.5]}', "@no-such-valuation.json"]),
+    st.sampled_from(["{x}", "[]", '{"x": 1}', '{"x": [0.5]}', "@no-such-valuation.json",
+                     DEEP_ARRAY]),
 )
 WORLD_LISTS = st.lists(WORLDS, max_size=3).map(lambda ws: ",".join(map(str, ws)))
 VAR_LISTS = st.lists(st.sampled_from(NAMES + ("w",)), min_size=1, max_size=4).map(",".join)
@@ -113,11 +116,47 @@ ARGV = st.one_of(
 @example(argv=["stabilize", "--all-chains=-1", "--term=x", "--pivot=x", "--max=1"])
 @example(argv=["eval", "--frame=no-such-frame.json", "--formula=x"])
 def test_every_run_ends_in_an_exit_code(argv):
+    code, err = run(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+
+
+def run(argv):
+    """main's exit code and standard error for one argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own refusals
             code = exc.code
-    assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+def assert_input_error(argv):
+    code, err = run(argv)
+    assert code == 2, (argv[:3], code, err[-300:])
+    assert err.startswith("error:") and "Traceback" not in err, err[-300:]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--frame=chain:2", "--formula=tpow(²)"], id="non-decimal-digit"),
+    pytest.param(["eval", "--frame=chain:2", "--formula=tpow(" + "1" * 5000 + ")"],
+                 id="macro-past-the-int-digit-limit"),
+    pytest.param(["eval", "--frame=chain:2", "--formula=x",
+                  '--val={"x": [' + "1" * 5000 + "]}"],
+                 id="valuation-past-the-int-digit-limit"),
+    pytest.param(["eval", "--frame=chain:2", "--formula=x", f"--val={DEEP_ARRAY}"],
+                 id="deep-inline-valuation"),
+])
+def test_former_tracebacks_are_input_errors(argv):
+    assert_input_error(argv)
+
+
+@pytest.mark.parametrize("depth, argv", [
+    (20_000, ["eval", "--frame=chain:2", "--formula=x", "--val=@{}"]),
+    (100_000, ["eval", "--frame={}", "--formula=x"]),
+], ids=["deep-valuation-file", "deep-frame-file"])
+def test_deep_json_files_are_input_errors(tmp_path, depth, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth)
+    assert_input_error([arg.format(path) for arg in argv])

@@ -64,6 +64,16 @@ class TestParsing:
         with pytest.raises(ParseError, match="exceeds the cap 200"):
             parse_formula("tpow(201)", store)
 
+    def test_macro_arguments_count_significant_digits(self, store):
+        assert parse_formula("tpow(0200)", store) is parse_formula("tpow(200)", store)
+        # leading zeros past int()'s digit limit are still insignificant
+        assert parse_formula("spow(" + "0" * 5000 + "2)", store) is s_term(2, store)
+        with pytest.raises(ParseError, match="macro power 1000 exceeds the cap 200"):
+            parse_formula("tpow(0001000)", store)
+
+    def test_macro_arguments_are_decimal_digits_of_any_script(self, store):
+        assert parse_formula("tpow(٣)", store) is parse_formula("tpow(3)", store)
+
     def test_statements(self, store):
         stmt = parse_statement("x <= []y", store)
         assert stmt.kind == LEQ
@@ -75,6 +85,12 @@ class TestParsing:
         kinds = [(t.kind, t.line, t.col) for t in tokenize("x |\n []y")]
         assert kinds == [("ident", 1, 1), ("|", 1, 3), ("[]", 2, 2),
                          ("ident", 2, 4), ("eof", 2, 5)]
+
+    def test_only_newline_starts_a_line(self):
+        # tab, carriage return, U+2028 and U+001C are whitespace of one column
+        kinds = [(t.kind, t.line, t.col) for t in tokenize("x\t|\r\n y\u2028&\x1cz")]
+        assert kinds == [("ident", 1, 1), ("|", 1, 3), ("ident", 2, 2),
+                         ("&", 2, 4), ("ident", 2, 6), ("eof", 2, 7)]
 
 
 class TestErrors:
@@ -129,6 +145,11 @@ class TestErrors:
         with pytest.raises(ParseError) as info:
             parse_formula("x |\n  @")
         assert (info.value.line, info.value.col) == (2, 3)
+
+    def test_non_decimal_digit_is_refused_where_it_stands(self):
+        with pytest.raises(ParseError, match="unexpected character '²'") as info:
+            parse_formula("tpow(²)")
+        assert (info.value.line, info.value.col) == (1, 6)
 
     def test_parse_errors_are_input_errors(self):
         with pytest.raises(InputError):
