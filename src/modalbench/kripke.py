@@ -5,11 +5,13 @@ set), which keeps every Boolean connective a single machine operation and
 makes evaluation results cheap to memoize and compare.
 
 evaluate_nodes is the only place where the connectives get their meaning: the
-operations of the frame's complex algebra, with diamond as a loop over the
-successor sets and box as its dual. It walks the term DAG without recursion
-and is generic in its backend. Model and Evaluator run it on ints; the
-vectorized SpaceEvaluator in vector.py runs the same loop on numpy uint64
-arrays that hold one bitset per valuation.
+operations of the frame's complex algebra (Jonsson-Tarski), with box as the
+dual of diamond. It walks the term DAG without recursion and is generic in
+its backend, which supplies diamond. Model and Evaluator run it on ints, with
+diamond as a loop over the successor sets; the vectorized SpaceEvaluator in
+vector.py runs it on numpy arrays that hold one bitset per valuation in the
+narrowest unsigned word that holds the frame's worlds, with diamond as one
+byte-table lookup per byte of the world set.
 """
 
 from __future__ import annotations
@@ -214,9 +216,20 @@ class Model:
 
 
 def _int_ops(frame: Frame) -> tuple:
-    """The int backend of evaluate_nodes: zero, mask, successor sets and the
-    bit of each world, all as Python ints."""
-    return 0, frame.mask, frame.succ, tuple(1 << w for w in range(frame.worlds))
+    """The int backend of evaluate_nodes: zero, mask and diamond on Python
+    ints. Diamond loops over the successor sets: one evaluation on one
+    valuation is too little work to pay for building the byte tables of the
+    array backend, which a Model, built per valuation, would pay each time."""
+    pairs = tuple((s, 1 << w) for w, s in enumerate(frame.succ))
+
+    def dia(a: int) -> int:
+        out = 0
+        for s, bit in pairs:
+            if a & s:
+                out |= bit
+        return out
+
+    return 0, frame.mask, dia
 
 
 def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable) -> list:
@@ -224,12 +237,14 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
 
     Every node below the roots that memo (term -> value) lacks is computed
     children first with an explicit stack, so term depth is not limited by
-    recursion. ops = (zero, mask, succ, bits) is the backend: ints for the
-    scalar evaluators, numpy uint64 arrays and scalars for the vectorized
-    one, combined by the same operators. leaf(name) gives a variable's value.
-    Terms key the memo by identity, so terms of several stores share one memo
-    without colliding."""
-    zero, mask, succ, bits = ops
+    recursion. ops = (zero, mask, dia) is the backend: zero and mask are the
+    empty and the full world set, dia maps a value to the worlds with a
+    successor in it. The Boolean connectives are the same operators on every
+    backend: ints for the scalar evaluators (_int_ops), numpy arrays of the
+    frame's word dtype for the vectorized one (vector._array_ops), and box is
+    not-dia-not. leaf(name) gives a variable's value. Terms key the memo by
+    identity, so terms of several stores share one memo without colliding."""
+    zero, mask, dia = ops
     stack = list(roots)
     while stack:
         t = stack[-1]
@@ -258,15 +273,10 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
                 out = a | memo[t.args[1]]
             elif kind == terms.IMP:
                 out = (mask ^ a) | memo[t.args[1]]
-            else:
-                # diamond: worlds with a successor in a; box(a) = not dia(not a)
-                if kind == terms.BOX:
-                    a = mask ^ a
-                out = a & zero
-                for s, bit in zip(succ, bits):
-                    out |= ((a & s) != 0) * bit
-                if kind == terms.BOX:
-                    out = mask ^ out
+            elif kind == terms.DIA:
+                out = dia(a)
+            else:  # box
+                out = mask ^ dia(mask ^ a)
         memo[t] = out
     return [memo[root] for root in roots]
 

@@ -11,8 +11,12 @@ well-defined index shared with the scalar scan order.
 
 The evaluation itself is kripke.evaluate_nodes, the loop the scalar
 evaluators run on ints. This module supplies only its array backend,
-_array_ops (a zero array of the right rank, and the mask, successor sets and
-world bits as uint64 scalars), and the variable axes.
+_array_ops, and the variable axes. A world set is stored in the narrowest
+unsigned word that holds the frame's worlds (word_dtype: one byte per entry
+up to 8 worlds, eight above 32), and diamond is computed by table lookup in
+the four-Russians style: with T_b[v] the worlds that have a successor in the
+world set v << 8b, dia(S) = OR_b T_b[byte b of S], one gather per byte of the
+word. The tables hold 256 words each and are built once per backend.
 
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
@@ -40,14 +44,16 @@ from .kripke import Frame, evaluate_gap, evaluate_nodes
 from .terms import Statement, Term, free_vars, statement_vars
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
+_FIRST_BLOCK = 1 << 12  # a lone statement's first block, doubled up to the step
 
 
 class SpaceEvaluator:
     """Vectorized term evaluation over all valuations of `names` on one frame,
     or over one block of them.
 
-    Results are uint64 arrays of world bitsets; axis i enumerates the bitsets
-    of names[i] in the block's [lo, hi) range, in increasing numeric order.
+    Results are arrays of world bitsets in the frame's word dtype
+    (word_dtype); axis i enumerates the bitsets of names[i] in the block's
+    [lo, hi) range, in increasing numeric order.
     Variables mentioned nowhere in `names` evaluate to the empty set. Nodes
     are cached by identity, so statements sharing subterms share their arrays;
     entering another block drops only the entries over a variable whose range
@@ -88,16 +94,42 @@ class SpaceEvaluator:
         lo, hi = self._block[axis]
         shape = [1] * len(self.names)
         shape[axis] = hi - lo
-        return np.arange(lo, hi, dtype=np.uint64).reshape(shape)
+        return np.arange(lo, hi, dtype=self.ops[0].dtype).reshape(shape)
+
+
+def word_dtype(worlds: int) -> np.dtype:
+    """The narrowest unsigned integer dtype with a bit for every world."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if worlds <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
 
 
 def _array_ops(frame: Frame, rank: int) -> tuple:
     """The array backend of evaluate_nodes: a zero array of the given rank
-    with every axis of length 1, and the mask, successor sets and world bits
-    as uint64 scalars."""
-    return (np.zeros((1,) * rank, dtype=np.uint64), np.uint64(frame.mask),
-            tuple(np.uint64(s) for s in frame.succ),
-            tuple(np.uint64(1 << w) for w in range(frame.worlds)))
+    with every axis of length 1 and the mask, both in the frame's word dtype,
+    and diamond by byte-table lookup. Table b maps each byte value v to the
+    worlds with a successor in the world set v << 8b; it is built by doubling,
+    one world of the byte at a time, from the worlds' predecessor sets."""
+    dtype = word_dtype(frame.worlds)
+    preds = [sum(1 << w for w, s in enumerate(frame.succ) if s >> u & 1)
+             for u in range(frame.worlds)]
+    tables = []
+    for low in range(0, max(frame.worlds, 1), 8):
+        table = [0]
+        for pred in preds[low:low + 8]:
+            table += [v | pred for v in table]
+        # repeated to 256 entries: bits past the last world are never set
+        tables.append(np.array(table * (256 // len(table)), dtype=dtype))
+    shifts = range(8, 8 * len(tables), 8)
+
+    def dia(a):
+        out = tables[0][a.astype(np.uint8, copy=False)]
+        for shift, table in zip(shifts, tables[1:]):
+            out |= table[(a >> shift).astype(np.uint8)]
+        return out
+
+    return np.zeros((1,) * rank, dtype=dtype), dtype.type(frame.mask), dia
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:
@@ -122,10 +154,13 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     Blocks are aligned runs of a power-of-two number of assignments: the
     trailing variables that fit range over all their values, the variable
     before them over a power-of-two slice, and the leading ones are held at
-    one value each. The step is the largest at which every statement's own
-    gap over the block has at most _BLOCK_ENTRIES entries, so the block
-    outgrows the budget when no statement mentions every variable it ranges
-    over; the elimination below builds nothing larger. Every statement
+    one value each. A lone statement's first block has _FIRST_BLOCK
+    assignments, and each next block as many as were read before it, so an
+    early refutation is found without evaluating a whole block; with
+    premises every block is one step. The step is the largest at which every
+    statement's own gap over the block has at most _BLOCK_ENTRIES entries,
+    so the block outgrows the budget when no statement mentions every
+    variable it ranges over; the elimination below builds nothing larger. Every statement
     is evaluated through evaluator.gap. A block whose product fits the
     budget is searched by broadcasting the gaps against each other. A larger
     block is never built: with one statement its first nonzero gap entry is
@@ -135,14 +170,17 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
     step = _widest_step(names, size, [conclusion, *premises])
-    lengths = _block_lengths(step, size, len(names))
-    for start in range(0, total, step):
+    start = 0
+    while start < total:
+        width = step if premises else min(step, max(_FIRST_BLOCK, start))
+        lengths = _block_lengths(width, size, len(names))
         block = tuple((d, d + length)
                       for d, length in zip(_digits(start, len(names), size), lengths))
         hit = _first_in_block(lengths, evaluator.gap(conclusion, block),
                               (evaluator.gap(p, block) for p in premises))
         if hit is not None:
             return start + hit[0], hit[1]
+        start += width
     return None
 
 
@@ -222,12 +260,12 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
     (row index, row), or None. `values` yields the rows' bitsets one after
     another, one per name in the order of `names`; variables outside `names`
     are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
-    along one axis and evaluated at once."""
+    along one axis in the frame's word dtype and evaluated at once."""
     ops = _array_ops(frame, 0)
     zero = ops[0]
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
-        table = np.fromiter(values, dtype=np.uint64, count=rows * len(names))
+        table = np.fromiter(values, dtype=zero.dtype, count=rows * len(names))
         table = table.reshape(rows, len(names))
         columns = dict(zip(names, table.T))
         gap = evaluate_gap(ops, stmt, {}, lambda name: columns.get(name, zero))
