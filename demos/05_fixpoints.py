@@ -38,9 +38,9 @@ except InputError as exc:
 # iterate 1 and iterate 2 coincide as a valid equation on every frame.
 chains3 = enumerate_chains(3)
 print("reachability settles at:",
-      uniform_stabilization(chains3, step, "x", [], 2))
+      uniform_stabilization(chains3, step, "x", 2))
 
 # The chain step does not settle within the same bound; that refusal is the
 # finite heart of the non-stabilization construction.
 print("chain step up to 1:",
-      uniform_stabilization(chains3, t, "x", ["y", "z"], 1))
+      uniform_stabilization(chains3, t, "x", 1))

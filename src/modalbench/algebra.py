@@ -171,7 +171,7 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
         raise InputError("base bitset mentions worlds outside the frame")
     params = params or Valuation()
     assignment = {}
-    for name in free_vars(term):
+    for name in sorted(free_vars(term)):
         if name != pivot:
             bits = params.bits(name)
             if bits & ~mask:
@@ -210,20 +210,19 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
     return FixpointResult(len(orbit) - 1, orbit[-1], tuple(orbit))
 
 
-def uniform_stabilization(frames: list[Frame], term: Term, pivot: str,
-                          params_vars: list[str] | None = None, max_n: int = 8, *,
+def uniform_stabilization(frames: list[Frame], term: Term, pivot: str, max_n: int = 8, *,
                           bit_cap: int = DEFAULT_BIT_CAP, samples: int | None = None,
                           seed: int = 0) -> int | None:
     """Least n for which iterate n and iterate n+1 of the term coincide as a
     valid equation on every frame in the family, or None if no n up to max_n
-    does. A candidate survives only on an exhaustive "valid" for every frame;
-    any countermodel rejects it, and an over-cap frame that `samples` sampled
-    valuations fail to refute makes the candidate undecidable, which raises
-    rather than guesses."""
-    if params_vars is None:
-        variables = [pivot] + sorted(free_vars(term) - {pivot})
-    else:
-        variables = [pivot] + list(params_vars)
+    does. Each check ranges over the pivot first, then the term's other
+    variables, sorted. A candidate survives only on an exhaustive "valid" for
+    every frame; any countermodel rejects it, and an over-cap frame that
+    `samples` sampled valuations fail to refute makes the candidate
+    undecidable, which raises rather than guesses."""
+    if max_n < 0:
+        raise InputError("max_n must be nonnegative")
+    variables = [pivot] + sorted(free_vars(term) - {pivot})
     for n in range(max_n + 1):
         stmt = eq(iterate(term, pivot, n), iterate(term, pivot, n + 1))
         rejected = False

@@ -3,7 +3,11 @@
 Exit codes: 0 when the queried property is confirmed (valid, certificate
 valid, consequence holds, index found), 1 when refuted (countermodel found,
 certificate invalid, nothing found up to the bound), 2 on input errors, and
-3 when a resource cap refuses the computation or leaves it undecided.
+3 when a resource cap refuses the computation or leaves it undecided. Each
+handler returns (payload, sentence, verdict), the verdict True, False or
+None for confirmed, refuted or undecided; main prints the payload under
+--json and the sentence otherwise, and maps the verdict to exit 0, 1 or 3.
+Warnings print as one `warning: <message>` line each on standard error.
 
 Frame specifiers: `chain:N` for the irreflexive N-chain, `chain:N:refl=0,2`
 to add self-loops, or a path to a frame JSON file ({"worlds": N, "edges":
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .algebra import (DEFAULT_BIT_CAP, check_validity, fixpoint_index,
                       transitivity_degree, uniform_stabilization)
@@ -25,12 +30,7 @@ from .kripke import (Frame, Model, Valuation, bits_to_worlds, decode_json, evalu
                      frame_to_json, load_frame, read_json, valuation_from_json,
                      worlds_to_bits)
 from .syntax import parse_formula, parse_statement
-from .terms import TermStore, free_vars
-
-_EXIT_CONFIRMED = 0
-_EXIT_REFUTED = 1
-_EXIT_INPUT = 2
-_EXIT_CAP = 3
+from .terms import TermStore
 
 
 def parse_frame_spec(spec: str) -> Frame:
@@ -65,14 +65,7 @@ def _valuation_arg(text: str) -> Valuation:
     return valuation_from_json(decode_json(text, "bad valuation JSON"))
 
 
-def _emit(args: argparse.Namespace, payload: dict, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> tuple:
     frame = parse_frame_spec(args.frame)
     term = parse_formula(args.formula, args.store)
     valuation = _valuation_arg(args.val) if args.val else Valuation()
@@ -80,106 +73,89 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     bits = evaluate(model, term)
     worlds = bits_to_worlds(bits)
     globally = bits == frame.mask
-    _emit(args,
-          {"formula": args.formula, "worlds": worlds, "holds_globally": globally},
-          f"holds at worlds {worlds}" + (" (globally)" if globally else ""))
-    return _EXIT_CONFIRMED if globally else _EXIT_REFUTED
+    return ({"formula": args.formula, "worlds": worlds, "holds_globally": globally},
+            f"holds at worlds {worlds}" + (" (globally)" if globally else ""), globally)
 
 
-def _cmd_check_valid(args: argparse.Namespace) -> int:
+def _cmd_check_valid(args: argparse.Namespace) -> tuple:
     frame = parse_frame_spec(args.frame)
     stmt = parse_statement(args.stmt, args.store)
     variables = args.vars.split(",") if args.vars else None
     report = check_validity(frame, stmt, variables, bit_cap=args.cap,
                             samples=args.sample, seed=args.seed)
-    payload = {"statement": args.stmt, **report.to_json()}
     if report.verdict == "valid":
-        human = f"valid ({report.valuations_tried} valuations)"
-        code = _EXIT_CONFIRMED
+        sentence = f"valid ({report.valuations_tried} valuations)"
     elif report.verdict == "countermodel":
-        human = (f"countermodel after {report.valuations_tried} valuations: "
-                 f"{report.valuation.to_sets()}")
-        code = _EXIT_REFUTED
+        sentence = (f"countermodel after {report.valuations_tried} valuations: "
+                    f"{report.valuation.to_sets()}")
     else:
-        human = f"unknown: {report.valuations_tried} sampled valuations found nothing"
-        code = _EXIT_CAP
-    _emit(args, payload, human)
-    return code
+        sentence = f"unknown: {report.valuations_tried} sampled valuations found nothing"
+    return ({"statement": args.stmt, **report.to_json()}, sentence,
+            {"valid": True, "countermodel": False}.get(report.verdict))
 
 
-def _cmd_lemma(args: argparse.Namespace) -> int:
+def _cmd_lemma(args: argparse.Namespace) -> tuple:
     cert = check_lemma(args.n, _world_list(args.refl), args.store)
-    _emit(args, cert.to_json(),
-          cert.render_table() + f"\ncertificate valid: {cert.valid}")
-    return _EXIT_CONFIRMED if cert.valid else _EXIT_REFUTED
+    return (cert.to_json(), cert.render_table() + f"\ncertificate valid: {cert.valid}",
+            cert.valid)
 
 
-def _cmd_chains(args: argparse.Namespace) -> int:
+def _cmd_chains(args: argparse.Namespace) -> tuple:
     frames = enumerate_chains(args.size)
     lines = [f"{len(frames)} chains of size {args.size}"]
     for index, frame in enumerate(frames):
         loops = [w for w in range(frame.worlds) if frame.succ[w] >> w & 1]
         lines.append(f"  {index:>4}: reflexive at {loops}")
-    _emit(args,
-          {"size": args.size, "count": len(frames),
-           "frames": [frame_to_json(f) for f in frames]},
-          "\n".join(lines))
-    return _EXIT_CONFIRMED
+    return ({"size": args.size, "count": len(frames),
+             "frames": [frame_to_json(f) for f in frames]}, "\n".join(lines), True)
 
 
-def _cmd_transitivity(args: argparse.Namespace) -> int:
+def _cmd_transitivity(args: argparse.Namespace) -> tuple:
     frame = parse_frame_spec(args.frame)
     degree = transitivity_degree(frame, args.max)
-    human = (f"degree {degree}" if degree is not None
-             else f"no degree up to {args.max}")
-    _emit(args, {"degree": degree, "max_n": args.max}, human)
-    return _EXIT_CONFIRMED if degree is not None else _EXIT_REFUTED
+    return ({"degree": degree, "max_n": args.max},
+            f"degree {degree}" if degree is not None else f"no degree up to {args.max}",
+            degree is not None)
 
 
-def _cmd_fixpoint(args: argparse.Namespace) -> int:
+def _cmd_fixpoint(args: argparse.Namespace) -> tuple:
     frame = parse_frame_spec(args.frame)
     term = parse_formula(args.term, args.store)
     base = worlds_to_bits(_world_list(args.base))
     params = _valuation_arg(args.params) if args.params else None
     result = fixpoint_index(frame, term, args.pivot, base, params)
-    _emit(args, result.to_json(),
-          f"index {result.index}, fixpoint {bits_to_worlds(result.fixpoint)}")
-    return _EXIT_CONFIRMED
+    return (result.to_json(),
+            f"index {result.index}, fixpoint {bits_to_worlds(result.fixpoint)}", True)
 
 
-def _cmd_consequence(args: argparse.Namespace) -> int:
+def _cmd_consequence(args: argparse.Namespace) -> tuple:
     frames = [parse_frame_spec(spec) for spec in args.frame]
     premises = [parse_statement(text, args.store) for text in args.premise or []]
     conclusion = parse_statement(args.conclusion, args.store)
     problem = ConsequenceProblem(premises, conclusion, frames, max_bits=args.budget)
     result = check_consequence(problem)
     if result.holds:
-        human = (f"holds on all {len(frames)} frames "
-                 f"({result.assignments} assignments covered; finite search only)")
-        code = _EXIT_CONFIRMED
+        sentence = (f"holds on all {len(frames)} frames "
+                    f"({result.assignments} assignments covered; finite search only)")
     else:
-        human = (f"countermodel on frame {result.frame_index}, conclusion fails "
-                 f"at world {result.failure_world}: {result.valuation.to_sets()}")
-        code = _EXIT_REFUTED
-    _emit(args, result.to_json(), human)
-    return code
+        sentence = (f"countermodel on frame {result.frame_index}, conclusion fails "
+                    f"at world {result.failure_world}: {result.valuation.to_sets()}")
+    return result.to_json(), sentence, result.holds
 
 
-def _cmd_stabilize(args: argparse.Namespace) -> int:
+def _cmd_stabilize(args: argparse.Namespace) -> tuple:
     frames = [parse_frame_spec(spec) for spec in args.frame or []]
     if args.all_chains is not None:
         frames.extend(enumerate_chains(args.all_chains))
     if not frames:
         raise InputError("no frames given; use --frame or --all-chains")
     term = parse_formula(args.term, args.store)
-    params = sorted(free_vars(term) - {args.pivot})
-    index = uniform_stabilization(frames, term, args.pivot, params, args.max,
-                                  bit_cap=args.cap, samples=args.sample,
-                                  seed=args.seed)
-    human = (f"stabilizes at {index}" if index is not None
-             else f"no stabilization up to {args.max}")
-    _emit(args, {"index": index, "max_n": args.max}, human)
-    return _EXIT_CONFIRMED if index is not None else _EXIT_REFUTED
+    index = uniform_stabilization(frames, term, args.pivot, args.max, bit_cap=args.cap,
+                                  samples=args.sample, seed=args.seed)
+    return ({"index": index, "max_n": args.max},
+            f"stabilizes at {index}" if index is not None
+            else f"no stabilization up to {args.max}",
+            index is not None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,14 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--val", help="valuation as inline JSON or @file")
 
-    p = add("check-valid", _cmd_check_valid, "check a statement under all valuations")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--stmt", required=True)
-    p.add_argument("--vars", help="comma-separated variables to enumerate")
-    p.add_argument("--cap", type=int, default=DEFAULT_BIT_CAP)
-    p.add_argument("--sample", type=int, nargs="?", const=4096,
-                   help="over-cap sampling budget, default 4096 (never concludes valid)")
-    p.add_argument("--seed", type=int, default=0)
+    check = add("check-valid", _cmd_check_valid, "check a statement under all valuations")
+    check.add_argument("--frame", required=True)
+    check.add_argument("--stmt", required=True)
+    check.add_argument("--vars", help="comma-separated variables to enumerate")
 
     p = add("lemma", _cmd_lemma, "non-stabilization certificate on a (2n+1)-chain")
     p.add_argument("--n", type=int, required=True)
@@ -232,32 +204,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conclusion", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BIT_CAP)
 
-    p = add("stabilize", _cmd_stabilize, "least n where iterates n and n+1 agree")
-    p.add_argument("--frame", action="append", default=[])
-    p.add_argument("--all-chains", type=int,
-                   help="also include every chain of this size")
-    p.add_argument("--term", required=True)
-    p.add_argument("--pivot", required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_BIT_CAP)
-    p.add_argument("--sample", type=int, nargs="?", const=4096,
-                   help="over-cap sampling budget per frame, default 4096")
-    p.add_argument("--seed", type=int, default=0)
+    stabilize = add("stabilize", _cmd_stabilize, "least n where iterates n and n+1 agree")
+    stabilize.add_argument("--frame", action="append", default=[])
+    stabilize.add_argument("--all-chains", type=int,
+                           help="also include every chain of this size")
+    stabilize.add_argument("--term", required=True)
+    stabilize.add_argument("--pivot", required=True)
+    stabilize.add_argument("--max", type=int, required=True)
 
+    for p, sample_help in (
+            (check, "over-cap sampling budget, default 4096 (never concludes valid)"),
+            (stabilize, "over-cap sampling budget per frame, default 4096")):
+        p.add_argument("--cap", type=int, default=DEFAULT_BIT_CAP)
+        p.add_argument("--sample", type=int, nargs="?", const=4096, help=sample_help)
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     args.store = TermStore()  # per call, so in-process calls leave DEFAULT_STORE alone
-    try:
-        return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return _EXIT_CAP
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            payload, sentence, verdict = args.handler(args)
+        except InputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CapExceededError as exc:
+            print(f"refused: {exc}", file=sys.stderr)
+            return 3
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else sentence)
+    return {True: 0, False: 1, None: 3}[verdict]
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ class Model:
     __slots__ = ("frame", "valuation", "ops", "_memo", "_warned")
 
     def __init__(self, frame: Frame, valuation: Valuation):
-        for name in valuation.names():
+        for name in sorted(valuation.names()):
             if valuation.bits(name) & ~frame.mask:
                 raise InputError(f"valuation of {name!r} mentions worlds outside the frame")
         self.frame = frame

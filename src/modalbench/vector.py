@@ -21,10 +21,10 @@ word. The tables hold 256 words each and are built once per backend.
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
 intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
-statement is evaluated through SpaceEvaluator.gap on the block, which keeps
-a node's array for as long as the block leaves its variables' ranges alone. A
-block whose product fits the budget is searched by broadcasting the gaps
-against each other. A larger one, which arises only when a statement omits
+statement is evaluated through SpaceEvaluator.gap on the block, which shares
+node arrays between the block's statements and starts afresh on the next
+block. A block whose product fits the budget is searched by broadcasting the
+gaps against each other. A larger one, which arises only when a statement omits
 a variable the block ranges over, is searched without an array of its
 shape: by the first nonzero entry of a lone statement's gap, or by variable
 elimination over the premises and the conclusion. A single statement over
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .kripke import Frame, evaluate_gap, evaluate_nodes
-from .terms import Statement, Term, free_vars, statement_vars
+from .terms import Statement, Term, statement_vars
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
 _FIRST_BLOCK = 1 << 12  # a lone statement's first block, doubled up to the step
@@ -56,8 +56,7 @@ class SpaceEvaluator:
     [lo, hi) range, in increasing numeric order.
     Variables mentioned nowhere in `names` evaluate to the empty set. Nodes
     are cached by identity, so statements sharing subterms share their arrays;
-    entering another block drops only the entries over a variable whose range
-    it changes."""
+    entering another block starts an empty memo."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
@@ -80,12 +79,9 @@ class SpaceEvaluator:
         return evaluate_gap(self.ops, stmt, self._memo, self._leaf)
 
     def _enter(self, block: tuple) -> None:
-        if block == self._block:
-            return
-        moved = {name for name, old, new in zip(self.names, self._block, block)
-                 if old != new}
-        self._block = block
-        self._memo = {t: v for t, v in self._memo.items() if not moved & free_vars(t)}
+        if block != self._block:
+            self._block = block
+            self._memo = {}
 
     def _leaf(self, name: str) -> np.ndarray:
         axis = self._axis.get(name)

@@ -67,8 +67,7 @@ def test_criterion_2_chain_step_never_stabilizes():
         size = 2 * n + 1
         frames = enumerate_chains(size)
         over_cap = 3 * size > DEFAULT_BIT_CAP  # 9-world chains need sampling
-        outcomes[n] = uniform_stabilization(frames, chain_term(), "x",
-                                            ["y", "z"], n,
+        outcomes[n] = uniform_stabilization(frames, chain_term(), "x", n,
                                             samples=4096 if over_cap else None)
     ok = all(index is None for index in outcomes.values())
     assert report(2, ok, f"no stabilization index up to n for n=1..4: {outcomes}")

@@ -72,10 +72,6 @@ class TestCheckValidity:
         for bad in (["y"], [], ["x", "y", "x"], ["x", "", "X"], ["x", 1]):
             with pytest.raises(InputError):
                 check_validity(make_chain(2), stmt, bad)
-        with pytest.raises(InputError, match="repeats"):
-            uniform_stabilization([make_chain(2)], diamond_term(store), "x", ["x"])
-        with pytest.raises(InputError, match="omits"):
-            uniform_stabilization([make_chain(2)], chain_term(store), "x", ["y"])
 
     def test_cap_refusal_and_sampling(self, store):
         frame = make_chain(13)

@@ -6,6 +6,10 @@ schema, plus coverage of all four exit codes: 0 confirmed, 1 refuted,
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -14,6 +18,8 @@ from modalbench import terms
 from modalbench.cli import main
 from modalbench.schemas import SCHEMAS, schema_for
 from modalbench.terms import TermStore
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, argv):
@@ -291,11 +297,44 @@ class TestRefusedInputs:
         ["eval", "--frame", ".", "--formula", "x"],
         ["check-valid", "--frame", "chain:2", "--stmt", "x = x", "--vars", "x,,X"],
         ["check-valid", "--frame", "chain:9", "--stmt", "tpow(1) = tpow(2)", "--sample=-3"],
+        ["stabilize", "--all-chains", "2", "--term", "<>x|x", "--pivot", "x", "--max=-1",
+         "--json"],
     ])
     def test_input_error(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_refusal_names_the_first_variable_under_every_hash_seed(self):
+        # two out-of-frame names, iterated from a set: the message must not
+        # depend on PYTHONHASHSEED
+        argvs = [["eval", "--frame", "chain:2", "--formula", "x",
+                  "--val", '{"q": [5], "z": [5]}'],
+                 ["fixpoint", "--frame", "chain:2", "--term", "<>x | x | y | z",
+                  "--pivot", "x", "--params", '{"y": [5], "z": [5]}']]
+        script = ("import json, sys; from modalbench.cli import main; "
+                  "[main(argv) for argv in json.loads(sys.argv[1])]")
+        messages = set()
+        for seed in range(6):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                                  capture_output=True, text=True, env=env, check=True)
+            messages.add(proc.stderr)
+        assert messages == {"error: valuation of 'q' mentions worlds outside the frame\n"
+                            "error: parameter 'y' mentions worlds outside the frame\n"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--frame", "chain:2", "--formula", "x"],
+     "variable 'x' not in valuation, treating as empty set"),
+    (["stabilize", "--all-chains", "1", "--term", "<>y", "--pivot", "x", "--max", "0"],
+     "pivot 'x' does not occur in the term; iteration is constant"),
+])
+def test_warnings_print_as_one_line(capsys, argv, message):
+    code, _, err = run(capsys, argv)
+    assert code in (0, 1)
+    assert err == f"warning: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,7 +2,8 @@
 
 Every argv drawn here must end in one of the four exit codes (0 confirmed,
 1 refuted, 2 input error, 3 cap refusal or undecided), whether main returns
-it or argparse raises SystemExit with it, and must print no traceback. The
+it or argparse raises SystemExit with it, and must print no traceback; what
+a --json run prints must validate against its command's schema. The
 grammar covers every command, `chain:N` frames with N from -2 to 4 (with and
 without self-loop lists, and malformed specs), small formulas with the
 `tpow`/`spow` macros, integer options from -3 to 6, and valuation JSON with
@@ -15,11 +16,14 @@ malformed ones, so most runs get past parsing.
 
 import contextlib
 import io
+import json
 
+import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modalbench.cli import main
+from modalbench.schemas import schema_for
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -105,7 +109,7 @@ ARGV = st.one_of(
             req("conclusion", STATEMENTS), opt("budget", INTS)),
     command("stabilize", opt("frame", FRAMES), opt("all-chains", st.integers(-3, 4)),
             req("term", FORMULAS), req("pivot", PIVOTS), req("max", INTS),
-            opt("cap", INTS), opt("sample", INTS)),
+            opt("cap", INTS), opt("sample", INTS), opt("seed", INTS)),
 ).flatmap(lambda argv: st.sampled_from([argv, argv + ["--json"]]))
 
 
@@ -115,25 +119,29 @@ ARGV = st.one_of(
 @example(argv=["chains", "--size=-1"])
 @example(argv=["stabilize", "--all-chains=-1", "--term=x", "--pivot=x", "--max=1"])
 @example(argv=["eval", "--frame=no-such-frame.json", "--formula=x"])
+@example(argv=["stabilize", "--all-chains=2", "--term=<>x|x", "--pivot=x", "--max=-1",
+               "--json"])
 def test_every_run_ends_in_an_exit_code(argv):
-    code, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, (argv, err)
+    if "--json" in argv and out:
+        jsonschema.validate(json.loads(out), schema_for(argv[0]))
 
 
 def run(argv):
-    """main's exit code and standard error for one argv."""
+    """main's exit code, standard output and standard error for one argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own refusals
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_input_error(argv):
-    code, err = run(argv)
+    code, _, err = run(argv)
     assert code == 2, (argv[:3], code, err[-300:])
     assert err.startswith("error:") and "Traceback" not in err, err[-300:]
 
