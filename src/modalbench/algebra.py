@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
-from .kripke import Evaluator, Frame, Valuation
-from .terms import VAR_NAME, Statement, Term, eq, free_vars, iterate, statement_vars
+from .kripke import Evaluator, Frame, Valuation, int_ops
+from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
 
@@ -62,10 +62,7 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     if samples is not None and samples < 0:
         raise InputError(f"sample count must be nonnegative, got {samples}")
     needed = statement_vars(stmt)
-    names = sorted(needed) if variables is None else list(variables)
-    bad = [n for n in names if not (isinstance(n, str) and VAR_NAME.fullmatch(n))]
-    if bad:
-        raise InputError(f"variable list {names} holds non-names {bad}")
+    names = sorted(needed) if variables is None else [check_name(n) for n in variables]
     given = set(names)
     if len(given) < len(names):
         raise InputError(f"variable list {names} repeats a name")
@@ -107,24 +104,20 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
 def transitivity_degree(frame: Frame, max_n: int) -> int | None:
     """Least n with the (n+1)-th power of the reflexive closure contained in
     the n-th, or None past max_n. Powers of a reflexive relation grow, so this
-    is the step where they stop, i.e. where the closure turns transitive."""
+    is the step where they stop, i.e. where the closure turns transitive.
+
+    The walk runs on the converse, whose powers are the converses of the
+    powers and stop at the same step: reach[w] holds the worlds that reach w
+    in at most n steps and grows by the int backend's diamond."""
     if max_n < 0:
         raise InputError("max_n must be nonnegative")
-    refl = tuple(s | 1 << w for w, s in enumerate(frame.succ))
-    current = tuple(1 << w for w in range(frame.worlds))
+    dia = int_ops(frame)[2]
+    reach = [1 << w for w in range(frame.worlds)]
     for n in range(max_n + 1):
-        nxt = []
-        for w in range(frame.worlds):
-            row = 0
-            reach = current[w]
-            while reach:
-                low = reach & -reach
-                row |= refl[low.bit_length() - 1]
-                reach ^= low
-            nxt.append(row)
-        if all(nxt[w] & ~current[w] == 0 for w in range(frame.worlds)):
+        grown = [r | dia(r) for r in reach]
+        if grown == reach:
             return n
-        current = tuple(nxt)
+        reach = grown
     return None
 
 
@@ -161,22 +154,19 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
     The map must be increasing and monotone in the pivot; both are checked
     empirically over every pivot value first (single-bit extensions suffice
     for monotonicity), and ineligible terms are refused. Frames too large for
-    that precheck are refused outright."""
+    that precheck are refused outright. The pivot must be a variable name,
+    and the base and every parameter, sorted by name, world sets of the
+    frame."""
     if frame.worlds > PRECHECK_WORLD_CAP:
         raise CapExceededError(
             f"monotonicity precheck enumerates 2^{frame.worlds} pivot values; "
             f"cap is {PRECHECK_WORLD_CAP} worlds")
-    mask = frame.mask
-    if base & ~mask:
-        raise InputError("base bitset mentions worlds outside the frame")
+    check_name(pivot)
+    frame.check(base, "base bitset")
     params = params or Valuation()
-    assignment = {}
-    for name in sorted(free_vars(term)):
-        if name != pivot:
-            bits = params.bits(name)
-            if bits & ~mask:
-                raise InputError(f"parameter {name!r} mentions worlds outside the frame")
-            assignment[name] = bits
+    for name in sorted(params.names()):
+        frame.check(params.bits(name), f"parameter {name!r}")
+    assignment = {name: params.bits(name) for name in free_vars(term) if name != pivot}
     evaluator = Evaluator(frame)
 
     def step(a: int) -> int:
@@ -189,6 +179,7 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
             raise InputError(
                 f"term is not increasing in {pivot!r} on this frame: "
                 f"pivot bitset {a:#x} maps to {image:#x}")
+    mask = frame.mask
     for a in range(1 << frame.worlds):
         rest = mask & ~a
         while rest:

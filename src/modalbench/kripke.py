@@ -39,14 +39,18 @@ class Frame:
         check_world_count(self.worlds)
         if len(self.succ) != self.worlds:
             raise InputError("successor table length must equal the world count")
-        mask = self.mask
         for w, bits in enumerate(self.succ):
-            if bits & ~mask:
-                raise InputError(f"successors of world {w} fall outside the frame")
+            self.check(bits, f"successor set of world {w}")
 
     @property
     def mask(self) -> int:
         return (1 << self.worlds) - 1
+
+    def check(self, bits: int, what: str) -> int:
+        """bits, if all its worlds lie in the frame; what names it in the refusal."""
+        if bits & ~self.mask:
+            raise InputError(f"{what} mentions worlds outside the frame")
+        return bits
 
     def edges(self) -> list[tuple[int, int]]:
         return [(w, v) for w in range(self.worlds)
@@ -199,11 +203,10 @@ class Model:
 
     def __init__(self, frame: Frame, valuation: Valuation):
         for name in sorted(valuation.names()):
-            if valuation.bits(name) & ~frame.mask:
-                raise InputError(f"valuation of {name!r} mentions worlds outside the frame")
+            frame.check(valuation.bits(name), f"valuation of {name!r}")
         self.frame = frame
         self.valuation = valuation
-        self.ops = _int_ops(frame)
+        self.ops = int_ops(frame)
         self._memo: dict[Term, int] = {}
         self._warned: set[str] = set()
 
@@ -215,7 +218,7 @@ class Model:
         return self.valuation.bits(name)
 
 
-def _int_ops(frame: Frame) -> tuple:
+def int_ops(frame: Frame) -> tuple:
     """The int backend of evaluate_nodes: zero, mask and diamond on Python
     ints. Diamond loops over the successor sets: one evaluation on one
     valuation is too little work to pay for building the byte tables of the
@@ -240,7 +243,7 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
     recursion. ops = (zero, mask, dia) is the backend: zero and mask are the
     empty and the full world set, dia maps a value to the worlds with a
     successor in it. The Boolean connectives are the same operators on every
-    backend: ints for the scalar evaluators (_int_ops), numpy arrays of the
+    backend: ints for the scalar evaluators (int_ops), numpy arrays of the
     frame's word dtype for the vectorized one (vector._array_ops), and box is
     not-dia-not. leaf(name) gives a variable's value. Terms key the memo by
     identity, so terms of several stores share one memo without colliding."""
@@ -299,10 +302,10 @@ def evaluate(model: Model, term: Term) -> int:
 
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
     """The k+1 bitsets of the semantic iteration: start at base_bits, then
-    repeatedly evaluate the term with the pivot bound to the previous value."""
-    if base_bits & ~model.frame.mask:
-        raise InputError("base bitset mentions worlds outside the frame")
-    orbit = [base_bits]
+    repeatedly evaluate the term with the pivot bound to the previous value.
+    The pivot must be a variable name and the base a world set of the frame."""
+    terms.check_name(pivot)
+    orbit = [model.frame.check(base_bits, "base bitset")]
     evaluator = Evaluator(model.frame)
     assignment = {name: model.valuation.bits(name)
                   for name in terms.free_vars(term) if name != pivot}
@@ -327,7 +330,7 @@ class Evaluator:
 
     def __init__(self, frame: Frame):
         self.frame = frame
-        self.ops = _int_ops(frame)
+        self.ops = int_ops(frame)
 
     def evaluate(self, term: Term, assignment: Mapping[str, int]) -> int:
         return evaluate_nodes(self.ops, (term,), {}, self._leaf_of(assignment))[0]

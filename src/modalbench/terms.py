@@ -91,9 +91,7 @@ class TermStore:
             return term
 
     def var(self, name: str) -> Term:
-        if not VAR_NAME.fullmatch(name):
-            raise InputError(f"variable names match [a-z][a-z0-9_]*, got {name!r}")
-        return self.make(VAR, name=name)
+        return self.make(VAR, name=check_name(name))
 
     def top(self) -> Term:
         return self.make(TOP)
@@ -121,6 +119,13 @@ class TermStore:
 
 
 DEFAULT_STORE = TermStore()
+
+
+def check_name(name: object) -> str:
+    """The name, if it is a variable name: a str matching VAR_NAME."""
+    if not (isinstance(name, str) and VAR_NAME.fullmatch(name)):
+        raise InputError(f"variable names match [a-z][a-z0-9_]*, got {name!r}")
+    return name
 
 
 def _store(store: TermStore | None) -> TermStore:
@@ -194,10 +199,10 @@ def iterate(term: Term, pivot: str, k: int) -> Term:
     structure through the store, so DAG growth per step is constant."""
     if k < 0:
         raise InputError("iteration count must be nonnegative")
+    current = term.store.var(pivot)
     if pivot not in free_vars(term):
         warnings.warn(f"pivot {pivot!r} does not occur in the term; iteration is constant",
                       stacklevel=2)
-    current = term.store.var(pivot)
     for _ in range(k):
         current = substitute(term, {pivot: current})
     return current

@@ -23,14 +23,14 @@ statement's array, not the product: every gap over the block, and every
 intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
 statement is evaluated through SpaceEvaluator.gap on the block, which shares
 node arrays between the block's statements and starts afresh on the next
-block. A block whose product fits the budget is searched by broadcasting the
-gaps against each other. A larger one, which arises only when a statement omits
-a variable the block ranges over, is searched without an array of its
-shape: by the first nonzero entry of a lone statement's gap, or by variable
-elimination over the premises and the conclusion. A single statement over
+block. A lone statement's first failure is read off its own gap, at any
+block size. Premises are combined with the conclusion in one mask of the
+block's shape when the block fits the budget; a larger block, which arises
+only when a statement omits a variable the block ranges over, is searched by
+variable elimination without an array of its shape. A single statement over
 every variable (most validity checks) gains nothing from this: its gap is
-the product. Sampled validity runs its seeded rows through the broadcast
-combine, laid along one axis.
+the product. Sampled validity reads its seeded rows the same way, laid
+along one axis.
 """
 
 from __future__ import annotations
@@ -150,30 +150,34 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     Blocks are aligned runs of a power-of-two number of assignments: the
     trailing variables that fit range over all their values, the variable
     before them over a power-of-two slice, and the leading ones are held at
-    one value each. A lone statement's first block has _FIRST_BLOCK
-    assignments, and each next block as many as were read before it, so an
-    early refutation is found without evaluating a whole block; with
-    premises every block is one step. The step is the largest at which every
-    statement's own gap over the block has at most _BLOCK_ENTRIES entries,
-    so the block outgrows the budget when no statement mentions every
-    variable it ranges over; the elimination below builds nothing larger. Every statement
-    is evaluated through evaluator.gap. A block whose product fits the
-    budget is searched by broadcasting the gaps against each other. A larger
-    block is never built: with one statement its first nonzero gap entry is
-    the answer, and with premises the lowest countermodel is found by
-    variable elimination (_first_by_elimination). The scan stops at the
-    first block holding a countermodel."""
+    one value each. The step is the largest at which every statement's own
+    gap over the block has at most _BLOCK_ENTRIES entries, so the block
+    outgrows the budget when no statement mentions every variable it ranges
+    over. Every statement is evaluated through evaluator.gap. A block is
+    read by _first_in_block, on the axes its gaps mention, unless it has
+    premises and more than _BLOCK_ENTRIES assignments: then the lowest
+    countermodel is found by variable elimination (_first_by_elimination),
+    and no array of the block's shape is built. The scan stops at the first
+    block holding a countermodel."""
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
     step = _widest_step(names, size, [conclusion, *premises])
     start = 0
     while start < total:
+        # A lone statement doubles its blocks from _FIRST_BLOCK, so an early
+        # refutation reads little. Premise scans take whole steps: doubling
+        # splits the one 2^25 elimination block of Sigma |= pi_k on a
+        # five-chain, which made those checks about four times slower.
         width = step if premises else min(step, max(_FIRST_BLOCK, start))
         lengths = _block_lengths(width, size, len(names))
         block = tuple((d, d + length)
                       for d, length in zip(_digits(start, len(names), size), lengths))
-        hit = _first_in_block(lengths, evaluator.gap(conclusion, block),
-                              (evaluator.gap(p, block) for p in premises))
+        conc = evaluator.gap(conclusion, block)
+        premise_gaps = (evaluator.gap(p, block) for p in premises)
+        if premises and prod(lengths) > _BLOCK_ENTRIES:
+            hit = _first_by_elimination(lengths, conc, premise_gaps)
+        else:
+            hit = _first_in_block(lengths, conc, premise_gaps)
         if hit is not None:
             return start + hit[0], hit[1]
         start += width
@@ -186,40 +190,35 @@ def _block_lengths(step: int, size: int, n: int) -> tuple[int, ...]:
 
 
 def _widest_step(names: list[str], size: int, statements: list[Statement]) -> int:
-    """The scan's step. A space of at most _BLOCK_ENTRIES assignments is one
-    block, with no questions asked; small frames are most of the consequence
-    checks. Else the step is the largest power of two at which every
-    statement's gap over the block has at most _BLOCK_ENTRIES entries, but
-    no more than 2^52: a block of at most 2^52 entries has at most 52 axes
+    """The scan's step: the largest power of two, at most the whole space and
+    2^52, at which every statement's gap over the block has at most
+    _BLOCK_ENTRIES entries, and never below the largest power of two within
+    _BLOCK_ENTRIES. A block of at most 2^52 entries has at most 52 axes
     longer than one, einsum's label limit."""
-    total = size ** len(names)
     floor = 1 << _BLOCK_ENTRIES.bit_length() - 1
-    if total <= floor:
-        return total
     axis = {name: i for i, name in enumerate(names)}
     supports = [[axis[v] for v in statement_vars(s) if v in axis] for s in statements]
-    step = min(total, 1 << 52)
+    step = min(size ** len(names), 1 << 52)
     while step > floor:
         lengths = _block_lengths(step, size, len(names))
         if all(prod(lengths[i] for i in support) <= _BLOCK_ENTRIES for support in supports):
-            return step
+            break
         step //= 2
-    return floor
+    return step
 
 
 def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
                           premise_gaps: Iterable):
-    """_first_in_block for a block too large to broadcast. Without premises
-    the conclusion's first failure is read off its own shape, where the axes
-    it omits sit at 0. With premises, by bucket elimination over 0/1 float32
-    factors: the conclusion's gap != 0 and each premise's gap == 0, each over
-    its own axes. Axis by axis in scan order, with the earlier axes held at
-    their chosen values, one einsum sums the product of the factors over the
-    later axes, and the axis takes the smallest value whose sum is positive;
-    a sum of 0/1 products is positive exactly when one of them is 1. None if
-    the first axis has no such value. The greedy contraction order builds no
-    intermediate of more than _BLOCK_ENTRIES entries. Premise gaps are drawn
-    only if the conclusion fails somewhere."""
+    """_first_in_block for a premise block too large to broadcast, by bucket
+    elimination over 0/1 float32 factors: the conclusion's gap != 0 and each
+    premise's gap == 0, each over its own axes. Axis by axis in scan order,
+    with the earlier axes held at their chosen values, one einsum sums the
+    product of the factors over the later axes, and the axis takes the
+    smallest value whose sum is positive; a sum of 0/1 products is positive
+    exactly when one of them is 1. None if the first axis has no such value.
+    The greedy contraction order builds no intermediate of more than
+    _BLOCK_ENTRIES entries. Premise gaps are drawn only if the conclusion
+    fails somewhere."""
     if not conc.any():
         return None
     ranging = [i for i, n in enumerate(lengths) if n > 1]
@@ -229,11 +228,7 @@ def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
         axes = [a for a, i in enumerate(ranging) if truth.shape[i] > 1]
         return truth.astype(np.float32).reshape([dims[a] for a in axes]), axes
 
-    factors = [factor(g == 0) for g in premise_gaps]
-    if not factors:
-        local, gap = _first_in_block(conc.shape, conc, ())
-        return int(np.ravel_multi_index(np.unravel_index(local, conc.shape), lengths)), gap
-    factors.insert(0, factor(conc != 0))
+    factors = [factor(conc != 0)] + [factor(g == 0) for g in premise_gaps]
     chosen: list[int] = []
     for p in range(len(dims)):
         args = []
@@ -257,7 +252,7 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
     another, one per name in the order of `names`; variables outside `names`
     are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
     along one axis in the frame's word dtype and evaluated at once."""
-    ops = _array_ops(frame, 0)
+    ops = _array_ops(frame, 1)
     zero = ops[0]
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
@@ -272,21 +267,23 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
 
 
 def _first_in_block(shape: tuple[int, ...], conc: np.ndarray, premise_gaps: Iterable):
-    """First position, in C order over `shape`, where the conclusion's gap is
-    nonzero and every premise gap is zero, with the conclusion's gap there,
-    or None. Premise gaps are drawn only while some position is still open.
-    A block of more than _BLOCK_ENTRIES positions is not broadcast but
-    searched by _first_by_elimination."""
-    if prod(shape) > _BLOCK_ENTRIES:
-        return _first_by_elimination(shape, conc, premise_gaps)
-    fail = np.empty(shape, dtype=bool)
-    fail[...] = conc != 0
+    """First position, in C order over the block `shape`, where the
+    conclusion's gap is nonzero and every premise gap is zero, with the
+    conclusion's gap there, or None. The gaps are read on the axes they
+    mention: a lone conclusion's first failure is read off its own gap, with
+    the axes it omits held at 0, at any block size. Premise gaps are drawn
+    only while some position is still open, and combined in place into one
+    mask, widened once to the block's shape."""
+    fail = conc != 0
     for g in premise_gaps:
         if not fail.any():
             return None
+        if fail.shape != shape:
+            fail = np.broadcast_to(fail, shape).copy()
         fail &= g == 0
     flat = fail.reshape(-1)
-    if not flat.any():
-        return None
     local = int(np.argmax(flat))
-    return local, int(np.broadcast_to(conc, shape)[np.unravel_index(local, shape)])
+    if not flat[local]:
+        return None
+    at = np.unravel_index(local, fail.shape)
+    return int(np.ravel_multi_index(at, shape)), int(np.broadcast_to(conc, fail.shape)[at])

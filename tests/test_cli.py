@@ -305,6 +305,21 @@ class TestRefusedInputs:
         assert code == 2
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["fixpoint", "--frame", "chain:2", "--term", "<>x|x", "--pivot", "x",
+          "--params", '{"q": [5]}'], "parameter 'q' mentions worlds outside the frame"),
+        (["fixpoint", "--frame", "chain:2", "--term", "tpow(2)", "--pivot", "X"],
+         "variable names match [a-z][a-z0-9_]*, got 'X'"),
+        (["stabilize", "--frame", "chain:2", "--term", "<>x|x", "--pivot", "X", "--max", "2"],
+         "variable names match [a-z][a-z0-9_]*, got 'X'"),
+    ])
+    def test_pivots_and_parameters_are_checked_first(self, capsys, argv, message):
+        # once answered with exit 0, blamed the term, or warned that the
+        # pivot does not occur before refusing its name
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == "" and err == f"error: {message}\n"
+
     def test_refusal_names_the_first_variable_under_every_hash_seed(self):
         # two out-of-frame names, iterated from a set: the message must not
         # depend on PYTHONHASHSEED

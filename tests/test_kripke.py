@@ -15,7 +15,7 @@ from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                load_frame, valuation_from_json, worlds_to_bits)
 from modalbench.chains import lemma_valuation, make_chain
 from modalbench.syntax import parse_formula
-from modalbench.terms import TermStore, chain_term, eq, iterate, leq
+from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, leq
 from modalbench.vector import SpaceEvaluator
 
 from oracles import naive_eval, naive_fails
@@ -27,7 +27,7 @@ def test_frame_validation():
         Frame(-1, ())
     with pytest.raises(InputError):
         Frame(2, (0,))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^successor set of world 1 mentions worlds outside"):
         Frame(2, (0, 0b100))
 
 
@@ -171,6 +171,11 @@ def test_orbit_shape_and_base_check(store):
     assert len(orbit) == 4 and orbit[0] == 0
     with pytest.raises(InputError):
         evaluate_orbit(model, chain_term(store), "x", 0b1000, 1)
+
+
+def test_orbit_refuses_a_pivot_that_is_not_a_name(store):
+    with pytest.raises(InputError, match="variable names match"):
+        evaluate_orbit(Model(make_chain(2), Valuation()), diamond_term(store), "X", 0, 2)
 
 
 def test_holds_globally(store):

@@ -27,7 +27,7 @@ def test_stores_do_not_share_nodes():
 
 
 def test_variable_name_validation(store):
-    for bad in ("X", "1a", "", "a-b", "aB"):
+    for bad in ("X", "1a", "", "a-b", "aB", 1, None):
         with pytest.raises(InputError):
             store.var(bad)
     assert store.var("a_1").name == "a_1"

@@ -6,6 +6,7 @@ countermodels, and results independent of the block size.
 """
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -101,6 +102,34 @@ def test_elimination_matches_oracle(data):
         got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
     assert ran
     assert got == naive_first_countermodel(frame, names, premises, conclusion)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_lone_statement_past_the_budget_matches_oracle(data):
+    # a conclusion without the first variable and a trailing name that no
+    # statement mentions: with a small budget the block outgrows it, and the
+    # first failure is read off the conclusion's own gap, not by elimination
+    frame = data.draw(frames(max_worlds=2))
+    names = data.draw(st.sampled_from([["x", "y", "w"], ["x", "y", "z", "w"]]))
+    variables = tuple(n for n in names[1:] if n != "w")
+    store = TermStore()
+    lhs = store.or_(store.var("y"),
+                    build_term(data.draw(term_plans(variables, max_depth=2)), store))
+    rhs = build_term(data.draw(term_plans(variables, max_depth=2)), store)
+    stmt = data.draw(st.sampled_from([eq, leq]))(lhs, rhs)
+    total = (1 << frame.worlds) ** len(names)
+    budget = data.draw(st.sampled_from([b for b in (4, 16) if b < total]))
+    read = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_BLOCK_ENTRIES", budget)
+        mp.setattr(vector, "_first_by_elimination", None)  # never called
+        real = vector._first_in_block
+        mp.setattr(vector, "_first_in_block",
+                   lambda shape, *args: read.append(prod(shape)) or real(shape, *args))
+        got = first_countermodel(SpaceEvaluator(frame, names), [], stmt)
+    assert max(read) > budget
+    assert got == naive_first_countermodel(frame, names, [], stmt)
 
 
 def test_result_is_block_size_independent(store, monkeypatch):
