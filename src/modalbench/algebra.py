@@ -61,6 +61,8 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     array axis. Sampling never concludes "valid"."""
     if samples is not None and samples < 0:
         raise InputError(f"sample count must be nonnegative, got {samples}")
+    if bit_cap < 0:
+        raise InputError(f"bit cap must be nonnegative, got {bit_cap}")
     needed = statement_vars(stmt)
     names = sorted(needed) if variables is None else [check_name(n) for n in variables]
     given = set(names)
@@ -213,6 +215,8 @@ def uniform_stabilization(frames: list[Frame], term: Term, pivot: str, max_n: in
     undecidable, which raises rather than guesses."""
     if max_n < 0:
         raise InputError("max_n must be nonnegative")
+    if bit_cap < 0:
+        raise InputError(f"bit cap must be nonnegative, got {bit_cap}")
     variables = [pivot] + sorted(free_vars(term) - {pivot})
     for n in range(max_n + 1):
         stmt = eq(iterate(term, pivot, n), iterate(term, pivot, n + 1))

@@ -32,6 +32,8 @@ class ConsequenceProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "premises", tuple(self.premises))
         object.__setattr__(self, "frames", tuple(self.frames))
+        if self.max_bits < 0:
+            raise InputError(f"bit budget must be nonnegative, got {self.max_bits}")
         store = self.conclusion.lhs.store
         for stmt in self.premises:
             if stmt.lhs.store is not store:

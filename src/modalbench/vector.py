@@ -31,17 +31,23 @@ variable elimination without an array of its shape. A single statement over
 every variable (most validity checks) gains nothing from this: its gap is
 the product. Sampled validity reads its seeded rows the same way, laid
 along one axis.
+
+numpy is imported on first array use, in the functions that build or read
+arrays, so importing this module (and modalbench) does not load it, and
+the commands that never scan a valuation space (eval, lemma, chains,
+transitivity, fixpoint) never do.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .kripke import Frame, evaluate_gap, evaluate_nodes
 from .terms import Statement, Term, statement_vars
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
 _FIRST_BLOCK = 1 << 12  # a lone statement's first block, doubled up to the step
@@ -84,6 +90,8 @@ class SpaceEvaluator:
             self._memo = {}
 
     def _leaf(self, name: str) -> np.ndarray:
+        import numpy as np
+
         axis = self._axis.get(name)
         if axis is None:
             return self.ops[0]
@@ -95,6 +103,8 @@ class SpaceEvaluator:
 
 def word_dtype(worlds: int) -> np.dtype:
     """The narrowest unsigned integer dtype with a bit for every world."""
+    import numpy as np
+
     for dtype in (np.uint8, np.uint16, np.uint32):
         if worlds <= np.iinfo(dtype).bits:
             return np.dtype(dtype)
@@ -107,6 +117,8 @@ def _array_ops(frame: Frame, rank: int) -> tuple:
     and diamond by byte-table lookup. Table b maps each byte value v to the
     worlds with a successor in the world set v << 8b; it is built by doubling,
     one world of the byte at a time, from the worlds' predecessor sets."""
+    import numpy as np
+
     dtype = word_dtype(frame.worlds)
     preds = [sum(1 << w for w, s in enumerate(frame.succ) if s >> u & 1)
              for u in range(frame.worlds)]
@@ -219,6 +231,8 @@ def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
     The greedy contraction order builds no intermediate of more than
     _BLOCK_ENTRIES entries. Premise gaps are drawn only if the conclusion
     fails somewhere."""
+    import numpy as np
+
     if not conc.any():
         return None
     ranging = [i for i, n in enumerate(lengths) if n > 1]
@@ -252,6 +266,8 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
     another, one per name in the order of `names`; variables outside `names`
     are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
     along one axis in the frame's word dtype and evaluated at once."""
+    import numpy as np
+
     ops = _array_ops(frame, 1)
     zero = ops[0]
     for done in range(0, count, _BLOCK_ENTRIES):
@@ -274,6 +290,8 @@ def _first_in_block(shape: tuple[int, ...], conc: np.ndarray, premise_gaps: Iter
     the axes it omits held at 0, at any block size. Premise gaps are drawn
     only while some position is still open, and combined in place into one
     mask, widened once to the block's shape."""
+    import numpy as np
+
     fail = conc != 0
     for g in premise_gaps:
         if not fail.any():

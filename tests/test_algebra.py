@@ -84,6 +84,15 @@ class TestCheckValidity:
         with pytest.raises(InputError, match="nonnegative"):
             check_validity(frame, stmt, samples=-3)
 
+    def test_negative_cap_is_an_input_error(self, store):
+        # once read as a cap that every check exceeds
+        stmt = eq(store.var("x"), store.var("x"))
+        for samples in (None, 16):
+            with pytest.raises(InputError, match="bit cap must be nonnegative, got -1"):
+                check_validity(make_chain(2), stmt, bit_cap=-1, samples=samples)
+        assert check_validity(make_chain(1), eq(store.top(), store.top()),
+                              bit_cap=0).verdict == "valid"
+
     def test_sampling_starts_with_the_empty_valuation(self):
         report = check_validity(make_chain(9), parse_statement("tpow(4) = tpow(5)"),
                                 samples=4096)
@@ -103,10 +112,12 @@ class TestCheckValidity:
     def test_sampling_matches_a_naive_row_loop(self, monkeypatch, frame, text, count,
                                               seed, least):
         stmt = parse_statement(text)
-        names = sorted(statement_vars(stmt))
+        # a closed statement costs 0 bits, which no cap refuses, so it is
+        # sampled over one variable it does not use
+        names = sorted(statement_vars(stmt)) or ["x"]
 
         def sample():
-            return check_validity(frame, stmt, bit_cap=-1, samples=count, seed=seed)
+            return check_validity(frame, stmt, names, bit_cap=0, samples=count, seed=seed)
 
         report = sample()
         rng = random.Random(seed)
@@ -216,6 +227,11 @@ class TestUniformStabilization:
     def test_over_cap_without_sampling_refuses(self):
         with pytest.raises(CapExceededError):
             uniform_stabilization([make_chain(9)], chain_term(), "x", max_n=1)
+
+    def test_negative_cap_is_an_input_error(self):
+        for frames in ([], [make_chain(2)]):
+            with pytest.raises(InputError, match="bit cap must be nonnegative, got -1"):
+                uniform_stabilization(frames, diamond_term(), "x", bit_cap=-1, samples=16)
 
     def test_sampling_rejects_but_never_certifies(self):
         # every candidate through 6 is refuted by the first sample on the

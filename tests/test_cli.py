@@ -299,6 +299,11 @@ class TestRefusedInputs:
         ["check-valid", "--frame", "chain:9", "--stmt", "tpow(1) = tpow(2)", "--sample=-3"],
         ["stabilize", "--all-chains", "2", "--term", "<>x|x", "--pivot", "x", "--max=-1",
          "--json"],
+        ["check-valid", "--frame", "chain:2", "--stmt", "x = x", "--cap=-3"],
+        ["check-valid", "--frame", "chain:9", "--stmt", "x = x", "--cap=-3", "--sample"],
+        ["stabilize", "--all-chains", "2", "--term", "<>x|x", "--pivot", "x", "--max", "1",
+         "--cap=-1"],
+        ["consequence", "--frame", "chain:2", "--conclusion", "x <= x", "--budget=-1"],
     ])
     def test_input_error(self, capsys, argv):
         code, out, err = run(capsys, argv)
@@ -338,6 +343,34 @@ class TestRefusedInputs:
             messages.add(proc.stderr)
         assert messages == {"error: valuation of 'q' mentions worlds outside the frame\n"
                             "error: parameter 'y' mentions worlds outside the frame\n"}
+
+
+def test_only_valuation_scans_load_numpy():
+    # a fresh interpreter, so sys.modules holds only what these calls import
+    argvs = [["eval", "--frame", "chain:3", "--formula", "<>x", "--val", '{"x": [2]}'],
+             ["lemma", "--n", "2", "--refl", "0"],
+             ["chains", "--size", "2"],
+             ["transitivity", "--frame", "chain:3:refl=1", "--max", "3"],
+             ["fixpoint", "--frame", "chain:3", "--term", "<>x|x", "--pivot", "x",
+              "--base", "2"],
+             ["check-valid", "--frame", "chain:2", "--stmt", "x <= <>x | x"]]
+    script = """if True:
+        import json, sys
+        import modalbench
+        from modalbench.cli import main
+        assert modalbench.SpaceEvaluator is modalbench.vector.SpaceEvaluator
+        assert modalbench.first_countermodel is modalbench.vector.first_countermodel
+        loaded = ["numpy" in sys.modules]
+        for argv in json.loads(sys.argv[1]):
+            loaded.append([main(argv + ["--json"]), "numpy" in sys.modules])
+        print(json.dumps(loaded))
+    """
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [
+        False, [1, False], [0, False], [0, False], [0, False], [0, False], [0, True]]
 
 
 @pytest.mark.parametrize("argv, message", [

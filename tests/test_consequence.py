@@ -84,6 +84,15 @@ def test_budget_refusal(store):
         ConsequenceProblem((wide,), stmt, (make_chain(5),), max_bits=30)) is not None
 
 
+def test_negative_budget_is_an_input_error(store):
+    # once read as a budget that every frame exceeds
+    stmt = leq(store.var("x"), store.var("x"))
+    with pytest.raises(InputError, match="bit budget must be nonnegative, got -1"):
+        ConsequenceProblem((), stmt, (make_chain(2),), max_bits=-1)
+    assert check_consequence(ConsequenceProblem((), eq(store.top(), store.top()),
+                                                (make_chain(2),), max_bits=0)).holds
+
+
 def test_countermodels_reverify_and_point_at_a_failure_world(store):
     sigma, pi = build_sigma_pi(chain_term(store), "x", 2)
     frames = tuple(enumerate_chains(3))
