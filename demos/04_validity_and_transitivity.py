@@ -47,7 +47,7 @@ print("degrees:", transitivity_degree(make_chain(3), 4),
       transitivity_degree(path, 4))
 
 # Same answer through the axiom: boxdot^n x -> boxdot^(n+1) x valid.
-axiom = eq(store.imp(boxdot_power(2, "x", store), boxdot_power(3, "x", store)),
+axiom = eq(store.imp(boxdot_power(2, store), boxdot_power(3, store)),
            store.top())
 print("path validates the degree-2 axiom:",
       check_validity(path, axiom).verdict)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
-from .kripke import Evaluator, Frame, Valuation, int_ops
+from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, int_ops
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
@@ -141,8 +141,6 @@ class FixpointResult:
     orbit: tuple[int, ...]
 
     def to_json(self) -> dict:
-        from .kripke import bits_to_worlds
-
         return {"index": self.index,
                 "fixpoint": bits_to_worlds(self.fixpoint),
                 "orbit": [bits_to_worlds(step) for step in self.orbit]}

@@ -11,13 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from . import terms
 from .errors import CapExceededError, InputError
 from .kripke import (Frame, Model, Valuation, bits_to_worlds, check_world_count,
                      evaluate, evaluate_orbit, worlds_to_bits)
 from .terms import TermStore, chain_term, s_step, s_term
 
 ENUMERATION_CAP = 16
+
+# check_lemma's fixed terms: the chain step and the approximants s_0..s_{n+2}.
+# The world cap bounds n by 31, so this store never holds more than 141 nodes.
+_LEMMA_STORE = TermStore()
 
 
 @dataclass(frozen=True)
@@ -120,8 +123,7 @@ class LemmaCertificate:
         return "\n".join(lines)
 
 
-def check_lemma(n: int, reflexive: Iterable[int] = (),
-                store: TermStore | None = None) -> LemmaCertificate:
+def check_lemma(n: int, reflexive: Iterable[int] = ()) -> LemmaCertificate:
     """Certify non-stabilization at step n on the (2n+1)-chain with the given
     self-loops, under the alternating valuation. The certificate is valid when
     all four pieces of evidence land, for any choice of self-loops."""
@@ -129,14 +131,14 @@ def check_lemma(n: int, reflexive: Iterable[int] = (),
     frame = make_chain(spec.size, spec.reflexive_points)
     valuation = lemma_valuation(n)
     model = Model(frame, valuation)
-    t = chain_term(store)
+    t = chain_term(_LEMMA_STORE)
 
     orbit = evaluate_orbit(model, t, "x", valuation.bits("x"), n + 1)
     full = frame.mask
     fails_at_zero = not orbit[n] & 1
     global_next = orbit[n + 1] == full
 
-    approximants = [s_term(0, store)]
+    approximants = [s_term(0, _LEMMA_STORE)]
     for _ in range(n + 2):
         approximants.append(s_step(approximants[-1]))
     s_global = {m: evaluate(model, s) == full for m, s in enumerate(approximants)}

@@ -95,7 +95,7 @@ def _cmd_check_valid(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_lemma(args: argparse.Namespace) -> tuple:
-    cert = check_lemma(args.n, _world_list(args.refl), args.store)
+    cert = check_lemma(args.n, _world_list(args.refl))
     return (cert.to_json(), cert.render_table() + f"\ncertificate valid: {cert.valid}",
             cert.valid)
 
@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    args.store = TermStore()  # per call, so in-process calls leave DEFAULT_STORE alone
+    args.store = TermStore()  # one per call, so premises and conclusion share nodes
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                          file=sys.stderr)

@@ -34,10 +34,6 @@ class ConsequenceProblem:
         object.__setattr__(self, "frames", tuple(self.frames))
         if self.max_bits < 0:
             raise InputError(f"bit budget must be nonnegative, got {self.max_bits}")
-        store = self.conclusion.lhs.store
-        for stmt in self.premises:
-            if stmt.lhs.store is not store:
-                raise InputError("premises and conclusion must share one term store")
 
     def variables(self) -> list[str]:
         names = set(statement_vars(self.conclusion))
@@ -78,12 +74,11 @@ def check_consequence(problem: ConsequenceProblem) -> ConsequenceResult:
     Frames are scanned in order with early stop, each over its full valuation
     product space in blocks of vector.first_countermodel, so the first
     countermodel is deterministic: lowest frame index, then lowest assignment
-    index. A premise or conclusion is evaluated again only in a block that
-    moves the range of one of its variables. Blocks bound each statement's
-    array rather than the product, so a frame where no statement mentions
-    every variable (Sigma |= pi_k on a 5-chain: 2^25 assignments, no
-    statement over more than four of the five variables) is one block,
-    searched by variable elimination instead of by broadcasting."""
+    index. Blocks bound each statement's array rather than the product, so a
+    frame where no statement mentions every variable (Sigma |= pi_k on a
+    5-chain: 2^25 assignments, no statement over more than four of the five
+    variables) is one block, searched by variable elimination instead of by
+    broadcasting."""
     variables = problem.variables()
     for frame in problem.frames:
         bits = len(variables) * frame.worlds

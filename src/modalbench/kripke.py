@@ -90,13 +90,19 @@ def frame_from_json(data: object) -> Frame:
         edges = data["edges"]
     except KeyError as missing:
         raise InputError(f"frame JSON lacks key {missing}") from None
-    if not isinstance(worlds, int):
+    if not _is_json_int(worlds):
         raise InputError("frame JSON 'worlds' must be an integer")
     if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(isinstance(c, int) for c in e)
+            isinstance(e, list) and len(e) == 2 and all(_is_json_int(c) for c in e)
             for e in edges):
         raise InputError("frame JSON 'edges' must be a list of [i, j] pairs")
     return frame_from_edges(worlds, [(i, j) for i, j in edges])
+
+
+def _is_json_int(value: object) -> bool:
+    """Whether a decoded JSON value is an integer. true and false decode to
+    bool, a subclass of int, and are no world numbers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def decode_json(text: str, source: str) -> object:
@@ -188,7 +194,7 @@ def _checked_bits(name: str, bits: object) -> int:
 
 def valuation_from_json(data: object) -> Valuation:
     if not isinstance(data, dict) or not all(
-            isinstance(ws, list) and all(isinstance(w, int) and w >= 0 for w in ws)
+            isinstance(ws, list) and all(_is_json_int(w) and w >= 0 for w in ws)
             for ws in data.values()):
         raise InputError("valuation JSON must map names to lists of worlds")
     return Valuation.from_sets(data)

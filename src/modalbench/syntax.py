@@ -177,16 +177,16 @@ class _Parser:
         return s_term(power, self.store)
 
 
-def parse_formula(text: str, store: TermStore | None = None) -> Term:
-    parser = _Parser(tokenize(text), terms._store(store))
+def parse_formula(text: str, store: TermStore) -> Term:
+    parser = _Parser(tokenize(text), store)
     out = parser.formula()
     if parser.peek().kind != "eof":
         parser.fail(("&", "|", "->", "end of input"))
     return out
 
 
-def parse_statement(text: str, store: TermStore | None = None) -> Statement:
-    parser = _Parser(tokenize(text), terms._store(store))
+def parse_statement(text: str, store: TermStore) -> Statement:
+    parser = _Parser(tokenize(text), store)
     lhs = parser.formula()
     op = parser.peek().kind
     if op not in ("=", "<="):

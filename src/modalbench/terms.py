@@ -65,7 +65,8 @@ class Term:
 class TermStore:
     """Interning table for terms. Identity comparisons are only meaningful
     between terms of the same store; building a term from children of two
-    stores raises InputError. Evaluation accepts terms of any store."""
+    stores raises InputError. Statements, consequence problems and evaluation
+    accept terms of any store."""
 
     def __init__(self) -> None:
         self._table: dict[tuple, Term] = {}
@@ -118,18 +119,11 @@ class TermStore:
         return self.make(DIA, (t,))
 
 
-DEFAULT_STORE = TermStore()
-
-
 def check_name(name: object) -> str:
     """The name, if it is a variable name: a str matching VAR_NAME."""
     if not (isinstance(name, str) and VAR_NAME.fullmatch(name)):
         raise InputError(f"variable names match [a-z][a-z0-9_]*, got {name!r}")
     return name
-
-
-def _store(store: TermStore | None) -> TermStore:
-    return DEFAULT_STORE if store is None else store
 
 
 def free_vars(term: Term) -> frozenset[str]:
@@ -220,8 +214,6 @@ class Statement:
     def __post_init__(self) -> None:
         if self.kind not in (EQ, LEQ):
             raise InputError(f"statement kind must be {EQ!r} or {LEQ!r}, got {self.kind!r}")
-        if self.lhs.store is not self.rhs.store:
-            raise InputError("statement mixes term stores")
 
     def __repr__(self) -> str:
         from .syntax import format_statement
@@ -246,28 +238,26 @@ def statement_vars(stmt: Statement) -> frozenset[str]:
     return free_vars(stmt.lhs) | free_vars(stmt.rhs)
 
 
-def chain_term(store: TermStore | None = None) -> Term:
+def chain_term(store: TermStore) -> Term:
     """The guarded chain step box(y or box(z or x)) or x in variables x, y, z.
     Increasing and monotone in x; iterating it probes how far information
     propagates down a frame two steps at a time."""
-    s = _store(store)
-    x, y, z = s.var("x"), s.var("y"), s.var("z")
-    return s.or_(s.box(s.or_(y, s.box(s.or_(z, x)))), x)
+    x = store.var("x")
+    return store.or_(s_step(x), x)
 
 
-def diamond_term(store: TermStore | None = None) -> Term:
+def diamond_term(store: TermStore) -> Term:
     """The reachability step dia(x) or x."""
-    s = _store(store)
-    x = s.var("x")
-    return s.or_(s.dia(x), x)
+    x = store.var("x")
+    return store.or_(store.dia(x), x)
 
 
-def s_term(m: int, store: TermStore | None = None) -> Term:
+def s_term(m: int, store: TermStore) -> Term:
     """The pivot-free approximant: step 0 is bottom, step m+1 wraps step m in
     box(y or box(z or .)). Lies below the m-th iterate of the chain step."""
     if m < 0:
         raise InputError("approximant index must be nonnegative")
-    out = _store(store).bot()
+    out = store.bot()
     for _ in range(m):
         out = s_step(out)
     return out
@@ -279,13 +269,11 @@ def s_step(prev: Term) -> Term:
     return s.box(s.or_(s.var("y"), s.box(s.or_(s.var("z"), prev))))
 
 
-def boxdot_power(n: int, pivot: str = "x", store: TermStore | None = None) -> Term:
-    """n applications of the reflexive box u -> u and box(u) to the pivot variable."""
+def boxdot_power(n: int, store: TermStore) -> Term:
+    """n applications of the reflexive box u -> u and box(u) to the variable x."""
     if n < 0:
         raise InputError("power must be nonnegative")
-    s = _store(store)
-    out = s.var(pivot)
+    out = store.var("x")
     for _ in range(n):
-        out = s.and_(out, s.box(out))
+        out = store.and_(out, store.box(out))
     return out
-

@@ -67,7 +67,7 @@ def test_criterion_2_chain_step_never_stabilizes():
         size = 2 * n + 1
         frames = enumerate_chains(size)
         over_cap = 3 * size > DEFAULT_BIT_CAP  # 9-world chains need sampling
-        outcomes[n] = uniform_stabilization(frames, chain_term(), "x", n,
+        outcomes[n] = uniform_stabilization(frames, chain_term(TermStore()), "x", n,
                                             samples=4096 if over_cap else None)
     ok = all(index is None for index in outcomes.values())
     assert report(2, ok, f"no stabilization index up to n for n=1..4: {outcomes}")
@@ -94,8 +94,7 @@ def test_criterion_3_approximants_stay_below_iterates():
 def test_criterion_4_relational_degree_matches_the_axiom():
     store = TermStore()
     top = store.top()
-    axioms = {n: eq(store.imp(boxdot_power(n, "x", store),
-                              boxdot_power(n + 1, "x", store)), top)
+    axioms = {n: eq(store.imp(boxdot_power(n, store), boxdot_power(n + 1, store)), top)
               for n in range(5)}
     mismatches = 0
     for succ in product(range(8), repeat=3):

@@ -24,8 +24,8 @@ from strategies import frames
 
 
 class TestCheckValidity:
-    def test_chain_iterates_do_not_stabilize_at_one(self):
-        report = check_validity(make_chain(3), parse_statement("tpow(1) = tpow(2)"))
+    def test_chain_iterates_do_not_stabilize_at_one(self, store):
+        report = check_validity(make_chain(3), parse_statement("tpow(1) = tpow(2)", store))
         assert report.verdict == "countermodel" and report.exhaustive
         assert report.valuations_tried == 1
         assert report.valuation.to_sets() == {"x": [], "y": [], "z": []}
@@ -37,7 +37,7 @@ class TestCheckValidity:
                                     "valuations_tried": 8, "exhaustive": True}
 
     def test_boxdot_axiom_on_reflexive_chain(self, store):
-        stmt = eq(store.imp(boxdot_power(1, store=store), boxdot_power(2, store=store)),
+        stmt = eq(store.imp(boxdot_power(1, store), boxdot_power(2, store)),
                   store.top())
         report = check_validity(make_chain(3, (0, 1, 2)), stmt)
         assert report.verdict == "valid"
@@ -93,8 +93,8 @@ class TestCheckValidity:
         assert check_validity(make_chain(1), eq(store.top(), store.top()),
                               bit_cap=0).verdict == "valid"
 
-    def test_sampling_starts_with_the_empty_valuation(self):
-        report = check_validity(make_chain(9), parse_statement("tpow(4) = tpow(5)"),
+    def test_sampling_starts_with_the_empty_valuation(self, store):
+        report = check_validity(make_chain(9), parse_statement("tpow(4) = tpow(5)", store),
                                 samples=4096)
         assert report.verdict == "countermodel"
         assert report.valuations_tried == 1
@@ -109,9 +109,9 @@ class TestCheckValidity:
         (make_chain(2), "[]F = F", 4096, 0, 1),
         (make_chain(13), "x & y & ~z & ~w & v = F", 4096, 2, 6),
     ], ids=["none", "one", "two", "unknown", "full-row-hit", "closed", "seeded-hit"])
-    def test_sampling_matches_a_naive_row_loop(self, monkeypatch, frame, text, count,
+    def test_sampling_matches_a_naive_row_loop(self, monkeypatch, store, frame, text, count,
                                               seed, least):
-        stmt = parse_statement(text)
+        stmt = parse_statement(text, store)
         # a closed statement costs 0 bits, which no cap refuses, so it is
         # sampled over one variable it does not use
         names = sorted(statement_vars(stmt)) or ["x"]
@@ -158,8 +158,8 @@ class TestTransitivityDegree:
         degree = transitivity_degree(frame, max_n)
         axiomatic = None
         for n in range(max_n + 1):
-            stmt = eq(store.imp(boxdot_power(n, store=store),
-                                boxdot_power(n + 1, store=store)), store.top())
+            stmt = eq(store.imp(boxdot_power(n, store), boxdot_power(n + 1, store)),
+                      store.top())
             if check_validity(frame, stmt).verdict == "valid":
                 axiomatic = n
                 break
@@ -214,42 +214,43 @@ class TestFixpointIndex:
 
 
 class TestUniformStabilization:
-    def test_reachability_step_on_transitive_chains(self):
-        assert uniform_stabilization(enumerate_chains(3), diamond_term(), "x") == 1
+    def test_reachability_step_on_transitive_chains(self, store):
+        assert uniform_stabilization(enumerate_chains(3), diamond_term(store), "x") == 1
 
-    def test_single_reflexive_point_is_immediate(self):
-        assert uniform_stabilization([make_chain(1, (0,))], diamond_term(), "x") == 0
+    def test_single_reflexive_point_is_immediate(self, store):
+        assert uniform_stabilization([make_chain(1, (0,))], diamond_term(store), "x") == 0
 
-    def test_chain_step_does_not_stabilize_early(self):
-        assert uniform_stabilization(enumerate_chains(3), chain_term(), "x",
+    def test_chain_step_does_not_stabilize_early(self, store):
+        assert uniform_stabilization(enumerate_chains(3), chain_term(store), "x",
                                      max_n=1) is None
 
-    def test_over_cap_without_sampling_refuses(self):
+    def test_over_cap_without_sampling_refuses(self, store):
         with pytest.raises(CapExceededError):
-            uniform_stabilization([make_chain(9)], chain_term(), "x", max_n=1)
+            uniform_stabilization([make_chain(9)], chain_term(store), "x", max_n=1)
 
-    def test_negative_cap_is_an_input_error(self):
+    def test_negative_cap_is_an_input_error(self, store):
         for frames in ([], [make_chain(2)]):
             with pytest.raises(InputError, match="bit cap must be nonnegative, got -1"):
-                uniform_stabilization(frames, diamond_term(), "x", bit_cap=-1, samples=16)
+                uniform_stabilization(frames, diamond_term(store), "x", bit_cap=-1,
+                                      samples=16)
 
-    def test_sampling_rejects_but_never_certifies(self):
+    def test_sampling_rejects_but_never_certifies(self, store):
         # every candidate through 6 is refuted by the first sample on the
         # 13-chain; candidate 7 survives sampling, which is not good enough
         with pytest.raises(CapExceededError, match="cannot certify"):
-            uniform_stabilization([make_chain(13)], chain_term(), "x", max_n=7,
+            uniform_stabilization([make_chain(13)], chain_term(store), "x", max_n=7,
                                   samples=64)
 
-    def test_adding_frames_can_only_raise_the_index(self):
+    def test_adding_frames_can_only_raise_the_index(self, store):
         small = [make_chain(1, (0,))]
         more = small + enumerate_chains(3)
-        a = uniform_stabilization(small, diamond_term(), "x")
-        b = uniform_stabilization(more, diamond_term(), "x")
+        a = uniform_stabilization(small, diamond_term(store), "x")
+        b = uniform_stabilization(more, diamond_term(store), "x")
         assert a == 0 and b == 1 and b >= a
 
 
-def test_closed_statement_on_the_largest_frame():
-    report = check_validity(make_chain(64), parse_statement("T = T"))
+def test_closed_statement_on_the_largest_frame(store):
+    report = check_validity(make_chain(64), parse_statement("T = T", store))
     assert report.verdict == "valid" and report.valuations_tried == 1
 
 

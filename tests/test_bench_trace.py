@@ -28,7 +28,7 @@ def test_traced_layers_count_the_assignments(harness):
     tracer = spans.Tracer()
     tracer.install(lib)
     try:
-        stmt = lib.syntax.parse_statement("x <= <>x | x")
+        stmt = lib.syntax.parse_statement("x <= <>x | x", lib.terms.TermStore())
         report = lib.algebra.check_validity(lib.chains.make_chain(2), stmt)
         cert = lib.chains.check_lemma(1)
     finally:
@@ -47,7 +47,7 @@ def test_multi_block_checks_trace_one_gap_per_block(harness, monkeypatch):
     tracer = spans.Tracer()
     tracer.install(lib)
     try:
-        stmt = lib.syntax.parse_statement("x & y <= x | z")
+        stmt = lib.syntax.parse_statement("x & y <= x | z", lib.terms.TermStore())
         report = lib.algebra.check_validity(lib.chains.make_chain(2), stmt, ["x", "y", "z"])
     finally:
         tracer.unpatch()

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from modalbench import chains
 from modalbench.chains import (ChainSpec, check_lemma,
                                enumerate_chains, falsifying_path_starts,
                                lemma_valuation, make_chain)
@@ -107,7 +108,7 @@ def test_make_chain_respects_the_world_cap():
         make_chain(65)
 
 
-def test_certificate_builds_each_approximant_once():
+def test_certificate_builds_each_approximant_once(monkeypatch):
     class CountingStore(TermStore):
         calls = 0
 
@@ -117,5 +118,18 @@ def test_certificate_builds_each_approximant_once():
 
     for n in (5, 10):
         CountingStore.calls = 0
-        assert check_lemma(n, store=CountingStore()).valid
+        monkeypatch.setattr(chains, "_LEMMA_STORE", CountingStore())
+        assert check_lemma(n).valid
         assert CountingStore.calls <= 8 * (n + 3)
+
+
+def test_the_lemma_store_is_bounded_by_the_world_cap(monkeypatch):
+    # the chain step and s_0..s_33 of n = 31, the largest n whose chain
+    # fits the world cap; a larger n is refused before any term is built
+    store = TermStore()
+    monkeypatch.setattr(chains, "_LEMMA_STORE", store)
+    for _ in range(2):
+        assert all(check_lemma(n).valid for n in range(1, 32))
+        with pytest.raises(CapExceededError):
+            check_lemma(32)
+        assert len(store._table) == 141

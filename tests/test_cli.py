@@ -14,10 +14,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from modalbench import terms
 from modalbench.cli import main
 from modalbench.schemas import SCHEMAS, schema_for
-from modalbench.terms import TermStore
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -304,8 +302,15 @@ class TestRefusedInputs:
         ["stabilize", "--all-chains", "2", "--term", "<>x|x", "--pivot", "x", "--max", "1",
          "--cap=-1"],
         ["consequence", "--frame", "chain:2", "--conclusion", "x <= x", "--budget=-1"],
+        ["eval", "--frame", "chain:2", "--formula", "x", "--val", '{"x": [true]}'],
+        ["eval", "--frame", "bool-frame.json", "--formula", "x"],
+        ["fixpoint", "--frame", "chain:2", "--term", "<>x|x", "--pivot", "x",
+         "--params", '{"y": [true]}'],
     ])
-    def test_input_error(self, capsys, argv):
+    def test_input_error(self, capsys, monkeypatch, tmp_path, argv):
+        frame = '{"worlds": true, "edges": [[false, false]]}'
+        (tmp_path / "bool-frame.json").write_text(frame)
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == "" and err.startswith("error:")
@@ -383,24 +388,3 @@ def test_warnings_print_as_one_line(capsys, argv, message):
     code, _, err = run(capsys, argv)
     assert code in (0, 1)
     assert err == f"warning: {message}\n"
-
-
-@pytest.mark.parametrize("argv", [
-    ["eval", "--frame", "chain:2", "--formula", "tpow(3) | q_eval",
-     "--val", '{"x": [0], "y": [], "z": [1], "q_eval": [1]}'],
-    ["check-valid", "--frame", "chain:2", "--stmt", "q_check <= <>q_check | q_check"],
-    ["lemma", "--n", "1"],
-    ["chains", "--size", "2"],
-    ["transitivity", "--frame", "chain:2", "--max", "2"],
-    ["fixpoint", "--frame", "chain:2", "--term", "<>q_fix | q_fix", "--pivot", "q_fix"],
-    ["consequence", "--frame", "chain:2", "--premise", "q_con <= x",
-     "--conclusion", "q_con <= <>x | x"],
-    ["stabilize", "--all-chains", "2", "--term", "<>q_st | q_st", "--pivot", "q_st",
-     "--max", "2"],
-])
-def test_calls_leave_the_default_store_alone(capsys, monkeypatch, argv):
-    fresh = TermStore()
-    monkeypatch.setattr(terms, "DEFAULT_STORE", fresh)
-    code, _, err = run(capsys, argv)
-    assert code in (0, 1) and err == ""
-    assert len(fresh._table) == 0

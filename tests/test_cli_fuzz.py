@@ -73,8 +73,8 @@ STATEMENTS = mostly(
 VALUATIONS = mostly(
     st.dictionaries(st.sampled_from(NAMES + ("q",)), st.lists(WORLDS, max_size=3),
                     max_size=3).map(lambda d: str(d).replace("'", '"')),
-    st.sampled_from(["{x}", "[]", '{"x": 1}', '{"x": [0.5]}', "@no-such-valuation.json",
-                     DEEP_ARRAY]),
+    st.sampled_from(["{x}", "[]", '{"x": 1}', '{"x": [0.5]}', '{"x": [true]}',
+                     "@no-such-valuation.json", DEEP_ARRAY]),
 )
 WORLD_LISTS = st.lists(WORLDS, max_size=3).map(lambda ws: ",".join(map(str, ws)))
 VAR_LISTS = st.lists(st.sampled_from(NAMES + ("w",)), min_size=1, max_size=4).map(",".join)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
+from modalbench.algebra import check_validity
 from modalbench.chains import enumerate_chains, make_chain
 from modalbench.consequence import (ConsequenceProblem, ConsequenceResult,
                                     build_sigma_pi, check_consequence)
@@ -56,13 +57,31 @@ def test_renamed_pivot(store):
 
 def test_problem_validation(store):
     stmt = leq(store.var("x"), store.var("x"))
-    s2 = TermStore()
-    other = leq(s2.var("x"), s2.var("x"))
-    with pytest.raises(InputError):
-        ConsequenceProblem((stmt,), other, (make_chain(2),))
     problem = ConsequenceProblem([stmt], stmt, [make_chain(2)])
     assert problem.premises == (stmt,) and isinstance(problem.frames, tuple)
     assert problem.variables() == ["x"]
+
+
+def test_terms_of_two_stores_answer_as_one_store_does(store):
+    # every memo keys on the term object, so nothing needs one store: the
+    # conclusion, or one side of it, may come from another
+    other = TermStore()
+    sigma, pi = build_sigma_pi(chain_term(store), "x", 2)
+    _, pi_other = build_sigma_pi(chain_term(other), "x", 2)
+    z_y, z_y_other = (parse_statement("z <= y", s) for s in (store, other))
+    frames = [frame for size in (1, 2) for frame in enumerate_chains(size)]
+    for premises, conclusion, moved in (
+            (sigma, pi[1], pi_other[1]),
+            (pi[2:], pi[1], pi_other[1]),
+            (pi[:1], pi[1], leq(pi[1].lhs, pi_other[1].rhs)),
+            (sigma, z_y, z_y_other)):
+        want = check_consequence(ConsequenceProblem(premises, conclusion, frames))
+        got = check_consequence(ConsequenceProblem(premises, moved, frames))
+        assert got == want
+    assert not check_consequence(ConsequenceProblem(sigma, z_y, frames)).holds
+    stmt = leq(pi[1].lhs, pi_other[1].rhs)
+    for frame in frames:
+        assert check_validity(frame, stmt) == check_validity(frame, pi[1])
 
 
 def test_trivial_consequence_holds(store):

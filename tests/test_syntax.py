@@ -94,66 +94,66 @@ class TestParsing:
 
 
 class TestErrors:
-    def test_missing_operand_reports_position_and_expectations(self):
+    def test_missing_operand_reports_position_and_expectations(self, store):
         with pytest.raises(ParseError) as info:
-            parse_formula("x |")
+            parse_formula("x |", store)
         err = info.value
         assert (err.line, err.col) == (1, 4)
         assert err.expected == ("variable", "T", "F", "~", "[]", "<>", "(",
                                 "tpow", "spow")
         assert "end of input" in str(err)
 
-    def test_formula_where_statement_expected(self):
+    def test_formula_where_statement_expected(self, store):
         with pytest.raises(ParseError) as info:
-            parse_statement("x")
+            parse_statement("x", store)
         assert info.value.expected == ("=", "<=")
         assert (info.value.line, info.value.col) == (1, 2)
 
-    def test_unclosed_paren(self):
+    def test_unclosed_paren(self, store):
         with pytest.raises(ParseError) as info:
-            parse_formula("(x")
+            parse_formula("(x", store)
         assert info.value.expected == (")",)
         assert info.value.col == 3
 
-    def test_unexpected_character(self):
+    def test_unexpected_character(self, store):
         with pytest.raises(ParseError) as info:
-            parse_formula("x @ y")
+            parse_formula("x @ y", store)
         assert "unexpected character '@'" in str(info.value)
         assert (info.value.line, info.value.col) == (1, 3)
         assert info.value.expected == ()
 
-    def test_uppercase_is_not_an_identifier(self):
+    def test_uppercase_is_not_an_identifier(self, store):
         with pytest.raises(ParseError, match="unexpected character 'X'"):
-            parse_formula("X")
+            parse_formula("X", store)
 
-    def test_bare_less_than_is_rejected(self):
+    def test_bare_less_than_is_rejected(self, store):
         with pytest.raises(ParseError, match="unexpected character '<'"):
-            parse_statement("x < y")
+            parse_statement("x < y", store)
 
-    def test_chained_comparison_is_rejected(self):
+    def test_chained_comparison_is_rejected(self, store):
         with pytest.raises(ParseError) as info:
-            parse_statement("x = y = z")
+            parse_statement("x = y = z", store)
         assert info.value.col == 7
         assert info.value.expected == ("&", "|", "->", "end of input")
 
-    def test_trailing_garbage_after_formula(self):
+    def test_trailing_garbage_after_formula(self, store):
         with pytest.raises(ParseError) as info:
-            parse_formula("x y")
+            parse_formula("x y", store)
         assert info.value.expected == ("&", "|", "->", "end of input")
 
-    def test_errors_report_across_lines(self):
+    def test_errors_report_across_lines(self, store):
         with pytest.raises(ParseError) as info:
-            parse_formula("x |\n  @")
+            parse_formula("x |\n  @", store)
         assert (info.value.line, info.value.col) == (2, 3)
 
-    def test_non_decimal_digit_is_refused_where_it_stands(self):
+    def test_non_decimal_digit_is_refused_where_it_stands(self, store):
         with pytest.raises(ParseError, match="unexpected character '²'") as info:
-            parse_formula("tpow(²)")
+            parse_formula("tpow(²)", store)
         assert (info.value.line, info.value.col) == (1, 6)
 
-    def test_parse_errors_are_input_errors(self):
+    def test_parse_errors_are_input_errors(self, store):
         with pytest.raises(InputError):
-            parse_formula("")
+            parse_formula("", store)
 
 
 class TestPrinting:

@@ -52,11 +52,11 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
                     scalar.evaluate(t, {"x": v}) for v in range(lo, hi)]
 
 
-def test_sampled_check_on_64_worlds_reports_the_first_failing_row():
+def test_sampled_check_on_64_worlds_reports_the_first_failing_row(store):
     # eight tables and uint64 words; a sparse frame, so that the rows the
     # hunt starts with (all empty, all full) hold and a random row refutes
     frame = random_frame(64, 2 / 64, random.Random(64))
-    stmt = parse_statement("[]x <= [][]x")
+    stmt = parse_statement("[]x <= [][]x", store)
     names, seed = ["x"], 3
     report = check_validity(frame, stmt, names, samples=1000, seed=seed)
     assert report.verdict == "countermodel" and report.valuations_tried > 2
@@ -70,8 +70,8 @@ def test_sampled_check_on_64_worlds_reports_the_first_failing_row():
     assert rng.getrandbits(64) == assignment["x"]
 
 
-def test_validity_memory_is_one_byte_per_entry():
-    stmt = parse_statement("tpow(4) = tpow(5)")
+def test_validity_memory_is_one_byte_per_entry(store):
+    stmt = parse_statement("tpow(4) = tpow(5)", store)
     nodes = len(set(walk(stmt.lhs)) | set(walk(stmt.rhs)))
     tracemalloc.start()
     try:
@@ -83,12 +83,12 @@ def test_validity_memory_is_one_byte_per_entry():
     assert peak < nodes * (1 << 20) + (64 << 10)  # blocks of 2^20 uint8 entries
 
 
-def test_an_early_refutation_reads_one_small_block(monkeypatch):
+def test_an_early_refutation_reads_one_small_block(monkeypatch, store):
     read = []
     real = vector._first_in_block
     monkeypatch.setattr(vector, "_first_in_block",
                         lambda shape, *args: read.append(prod(shape)) or real(shape, *args))
-    report = check_validity(make_chain(7), parse_statement("tpow(2) = tpow(3)"),
+    report = check_validity(make_chain(7), parse_statement("tpow(2) = tpow(3)", store),
                             ["x", "y", "z"])
     assert report.verdict == "countermodel" and report.valuations_tried == 1
     assert len(read) == 1 and read[0] <= 1 << 12
