@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CapExceededError, InputError
-from .kripke import (Frame, Model, Valuation, bits_to_worlds, check_world_count,
-                     evaluate, evaluate_orbit, worlds_to_bits)
+from .kripke import (Frame, Model, Valuation, bits_to_worlds, check_int, check_world,
+                     check_world_count, evaluate, evaluate_orbit, worlds_to_bits)
 from .terms import TermStore, chain_term, s_step, s_term
 
 ENUMERATION_CAP = 16
@@ -31,18 +31,15 @@ class ChainSpec:
     reflexive_points: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise InputError("chain size must be nonnegative")
+        check_world_count(self.size)
         for p in self.reflexive_points:
-            if not 0 <= p < self.size:
-                raise InputError(f"reflexive point {p} out of range for size {self.size}")
+            check_world(p, self.size)
 
 
 def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
     """The frame for ChainSpec(size, reflexive): edges i -> j for i < j, plus
     a loop at each listed point."""
     spec = ChainSpec(size, frozenset(reflexive))
-    check_world_count(size)
     full = (1 << size) - 1
     succ = []
     for w in range(size):
@@ -56,9 +53,7 @@ def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
 def enumerate_chains(size: int) -> list[Frame]:
     """All 2^size chains on the given size, ordered by the bitmask of their
     reflexive set, so index 0 is the irreflexive chain."""
-    if size < 0:
-        raise InputError("chain size must be nonnegative")
-    if size > ENUMERATION_CAP:
+    if check_world_count(size) > ENUMERATION_CAP:
         raise CapExceededError(
             f"2^{size} chains exceeds the enumeration cap 2^{ENUMERATION_CAP}")
     return [make_chain(size, bits_to_worlds(mask)) for mask in range(1 << size)]
@@ -67,10 +62,10 @@ def enumerate_chains(size: int) -> list[Frame]:
 def lemma_valuation(n: int) -> Valuation:
     """The alternating valuation on the chain of size 2n+1: x and z hold at the
     n odd points, y at the n+1 even points."""
-    if n < 1:
+    if check_int(n, "n") < 1:
         raise InputError("the construction needs n >= 1")
-    odd = worlds_to_bits(2 * i + 1 for i in range(n))
-    even = worlds_to_bits(2 * i for i in range(n + 1))
+    even = sum(1 << w for w in range(0, check_world_count(2 * n + 1), 2))
+    odd = even >> 1  # world 2i moves to 2i-1, and world 0 drops out
     return Valuation({"x": odd, "y": even, "z": odd})
 
 
@@ -127,9 +122,9 @@ def check_lemma(n: int, reflexive: Iterable[int] = ()) -> LemmaCertificate:
     """Certify non-stabilization at step n on the (2n+1)-chain with the given
     self-loops, under the alternating valuation. The certificate is valid when
     all four pieces of evidence land, for any choice of self-loops."""
+    valuation = lemma_valuation(n)
     spec = ChainSpec(2 * n + 1, frozenset(reflexive))
     frame = make_chain(spec.size, spec.reflexive_points)
-    valuation = lemma_valuation(n)
     model = Model(frame, valuation)
     t = chain_term(_LEMMA_STORE)
 

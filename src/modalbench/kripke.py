@@ -12,6 +12,10 @@ diamond as a loop over the successor sets; the vectorized SpaceEvaluator in
 vector.py runs it on numpy arrays that hold one bitset per valuation in the
 narrowest unsigned word that holds the frame's worlds, with diamond as one
 byte-table lookup per byte of the world set.
+
+Each world rule has one owner: check_world_count (counts), check_world
+(numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
+through check_int, which refuses bools (JSON true and false) and floats.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import terms
@@ -42,13 +47,13 @@ class Frame:
         for w, bits in enumerate(self.succ):
             self.check(bits, f"successor set of world {w}")
 
-    @property
+    @cached_property
     def mask(self) -> int:
         return (1 << self.worlds) - 1
 
     def check(self, bits: int, what: str) -> int:
-        """bits, if all its worlds lie in the frame; what names it in the refusal."""
-        if bits & ~self.mask:
+        """bits, if an int of worlds of the frame; what names it in the refusal."""
+        if check_int(bits, what) & ~self.mask:
             raise InputError(f"{what} mentions worlds outside the frame")
         return bits
 
@@ -57,24 +62,41 @@ class Frame:
                 for v in bits_to_worlds(self.succ[w])]
 
 
-def check_world_count(worlds: int) -> None:
-    """The world-count rule of Frame. Builders that allocate per world call it
-    first, so a refused count costs nothing."""
-    if worlds < 0:
+def check_int(value: object, what: str) -> int:
+    """value, if its type is int (so no bool); what names it in the refusal."""
+    if type(value) is int:
+        return value
+    raise InputError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def check_world_count(worlds: int) -> int:
+    """worlds, if it is a world count of a frame. Builders that allocate per
+    world call it first, so a refused count costs nothing."""
+    if check_int(worlds, "world count") < 0:
         raise InputError("world count must be nonnegative")
     if worlds > MAX_WORLDS:
         raise CapExceededError(f"{worlds} worlds exceeds the {MAX_WORLDS}-world cap")
+    return worlds
+
+
+def check_world(w: int, worlds: int) -> int:
+    """w, if it is one of the world numbers 0..worlds-1. Callers shift by it
+    only after this check, so no number can ask for a huge or negative shift."""
+    if not 0 <= check_int(w, "world number") < worlds:
+        span = f"0..{worlds - 1}" if worlds else "the empty frame"
+        raise InputError(f"world {w} is outside {span}")
+    return w
 
 
 def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]]) -> Frame:
-    """Build a frame from an edge list; edge order is irrelevant and duplicate
-    edges collapse."""
+    """Build a frame from an edge list, each edge a pair of world numbers;
+    edge order is irrelevant and duplicate edges collapse."""
     check_world_count(worlds)
     succ = [0] * worlds
-    for i, j in edges:
-        if not (0 <= i < worlds and 0 <= j < worlds):
-            raise InputError(f"edge ({i}, {j}) out of range for {worlds} worlds")
-        succ[i] |= 1 << j
+    for edge in edges:
+        if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
+            raise InputError(f"edge {edge!r} is not a pair of worlds")
+        succ[check_world(edge[0], worlds)] |= 1 << check_world(edge[1], worlds)
     return Frame(worlds, tuple(succ))
 
 
@@ -86,23 +108,12 @@ def frame_from_json(data: object) -> Frame:
     if not isinstance(data, dict):
         raise InputError("frame JSON must be an object")
     try:
-        worlds = data["worlds"]
-        edges = data["edges"]
+        worlds, edges = data["worlds"], data["edges"]
     except KeyError as missing:
         raise InputError(f"frame JSON lacks key {missing}") from None
-    if not _is_json_int(worlds):
-        raise InputError("frame JSON 'worlds' must be an integer")
-    if not isinstance(edges, list) or not all(
-            isinstance(e, list) and len(e) == 2 and all(_is_json_int(c) for c in e)
-            for e in edges):
+    if not isinstance(edges, list):
         raise InputError("frame JSON 'edges' must be a list of [i, j] pairs")
-    return frame_from_edges(worlds, [(i, j) for i, j in edges])
-
-
-def _is_json_int(value: object) -> bool:
-    """Whether a decoded JSON value is an integer. true and false decode to
-    bool, a subclass of int, and are no world numbers."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return frame_from_edges(worlds, edges)
 
 
 def decode_json(text: str, source: str) -> object:
@@ -131,13 +142,10 @@ def load_frame(path: str) -> Frame:
 
 
 def worlds_to_bits(worlds: Iterable[int]) -> int:
-    """The bitset of a world list. A world outside 0..MAX_WORLDS-1 is refused
-    before it is shifted, so no index can ask for a huge or negative shift."""
+    """The bitset of a world list, each world one of 0..MAX_WORLDS-1."""
     bits = 0
     for w in worlds:
-        if not 0 <= w < MAX_WORLDS:
-            raise InputError(f"world {w} is outside 0..{MAX_WORLDS - 1}")
-        bits |= 1 << w
+        bits |= 1 << check_world(w, MAX_WORLDS)
     return bits
 
 
@@ -146,8 +154,8 @@ def bits_to_worlds(bits: int) -> list[int]:
 
 
 class Valuation:
-    """Immutable map from variable name to world bitset. Updates go through
-    with_bits, which copies, so models can cache evaluations safely."""
+    """Immutable map from variable name to world bitset, so models can cache
+    evaluations safely. A changed valuation is a new Valuation."""
 
     __slots__ = ("_bits",)
 
@@ -167,9 +175,6 @@ class Valuation:
     def names(self) -> frozenset[str]:
         return frozenset(self._bits)
 
-    def with_bits(self, name: str, bits: int) -> "Valuation":
-        return Valuation({**self._bits, name: bits})
-
     def to_sets(self) -> dict[str, list[int]]:
         return {name: bits_to_worlds(b) for name, b in sorted(self._bits.items())}
 
@@ -184,18 +189,14 @@ class Valuation:
 
 
 def _checked_bits(name: str, bits: object) -> int:
-    if not isinstance(bits, int):
-        raise InputError(f"bitset for variable {name!r} must be an int, "
-                         f"not {type(bits).__name__}")
-    if bits < 0:
+    """The world-set rule for a valuation without a frame: a nonnegative int."""
+    if check_int(bits, f"bitset for variable {name!r}") < 0:
         raise InputError(f"negative bitset for variable {name!r}")
     return bits
 
 
 def valuation_from_json(data: object) -> Valuation:
-    if not isinstance(data, dict) or not all(
-            isinstance(ws, list) and all(_is_json_int(w) and w >= 0 for w in ws)
-            for ws in data.values()):
+    if not isinstance(data, dict) or not all(isinstance(ws, list) for ws in data.values()):
         raise InputError("valuation JSON must map names to lists of worlds")
     return Valuation.from_sets(data)
 
@@ -329,8 +330,9 @@ def holds_globally(model: Model, stmt: Statement) -> bool:
 
 class Evaluator:
     """Evaluation on one frame under many assignments, each call with a fresh
-    memo. Assignments are plain dicts of bitsets; absent variables mean
-    empty, silently, since enumeration callers control the variable set."""
+    memo. Assignments are plain dicts of world sets of the frame; absent
+    variables mean empty, silently, since enumeration callers control the
+    variable set."""
 
     __slots__ = ("frame", "ops")
 
@@ -346,5 +348,6 @@ class Evaluator:
         return evaluate_gap(self.ops, stmt, {}, self._leaf_of(assignment))
 
     def _leaf_of(self, assignment: Mapping[str, int]) -> Callable:
-        mask = self.frame.mask
-        return lambda name: assignment.get(name, 0) & mask
+        # the name is the label: formatting one per read cost more than the check
+        check = self.frame.check
+        return lambda name: check(assignment.get(name, 0), name)

@@ -133,3 +133,13 @@ def test_the_lemma_store_is_bounded_by_the_world_cap(monkeypatch):
         with pytest.raises(CapExceededError):
             check_lemma(32)
         assert len(store._table) == 141
+
+
+@pytest.mark.parametrize("n, message", [
+    (-1, "the construction needs n >= 1"),  # refused as a negative chain size before
+    (0, "the construction needs n >= 1"),
+    (True, "n must be an int, not bool"),  # certified the 3-chain with "n": true before
+])
+def test_lemma_refuses_a_bad_n_before_building_the_chain(n, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        check_lemma(n)

@@ -350,6 +350,14 @@ class TestRefusedInputs:
                             "error: parameter 'y' mentions worlds outside the frame\n"}
 
 
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_lemma_refuses_n_below_one(capsys, n):
+    # --n -1 was refused as a negative chain size, unlike --n 0
+    code, out, err = run(capsys, ["lemma", "--n", n])
+    assert code == 2
+    assert out == "" and err == "error: the construction needs n >= 1\n"
+
+
 def test_only_valuation_scans_load_numpy():
     # a fresh interpreter, so sys.modules holds only what these calls import
     argvs = [["eval", "--frame", "chain:3", "--formula", "<>x", "--val", '{"x": [2]}'],

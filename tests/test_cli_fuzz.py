@@ -8,7 +8,11 @@ grammar covers every command, `chain:N` frames with N from -2 to 4 (with and
 without self-loop lists, and malformed specs), small formulas with the
 `tpow`/`spow` macros, integer options from -3 to 6, and valuation JSON with
 worlds from -2 to 10^6. Its malformed choices include a non-decimal digit in
-a macro and JSON nested deeper than the decoder's recursion limit. `--all-chains` stays within the chain sizes above:
+a macro and JSON nested deeper than the decoder's recursion limit. Frame
+files come from FRAME_FILES, written once into the directory the module
+runs in: one well-formed frame and four that break a world rule (a float
+world, a boolean world count, a three-element edge and an edge past the
+frame). `--all-chains` stays within the chain sizes above:
 at 6 it means 64 exhaustive checks of up to 2^18 valuations per candidate
 index, seconds per example. Well-formed choices are drawn more often than
 malformed ones, so most runs get past parsing.
@@ -37,6 +41,14 @@ def mostly(good, bad):
     return st.sampled_from((good, good, good, bad)).flatmap(lambda pick: pick)
 
 
+FRAME_FILES = {
+    "frame.json": '{"worlds": 3, "edges": [[0, 1], [1, 2], [2, 2]]}',
+    "float-world.json": '{"worlds": 3, "edges": [[0, 1.5]]}',
+    "bool-worlds.json": '{"worlds": true, "edges": []}',
+    "three-element-edge.json": '{"worlds": 3, "edges": [[0, 1, 2]]}',
+    "edge-past-the-frame.json": '{"worlds": 3, "edges": [[0, 3]]}',
+}
+
 WORLDS = mostly(st.integers(-2, 6), st.integers(-2, 10 ** 6))
 
 FRAMES = mostly(
@@ -44,13 +56,15 @@ FRAMES = mostly(
         st.builds("chain:{}".format, st.integers(0, 4)),
         st.integers(0, 4).flatmap(lambda n: st.builds(
             lambda loops: f"chain:{n}:refl={','.join(map(str, sorted(loops)))}",
-            st.sets(st.integers(0, max(n - 1, 0)), max_size=n)))),
+            st.sets(st.integers(0, max(n - 1, 0)), max_size=n))),
+        st.just("frame.json")),
     st.one_of(
         st.builds("chain:{}".format, st.integers(-2, 4)),
         st.builds(lambda n, loops: f"chain:{n}:refl={','.join(map(str, loops))}",
                   st.integers(-2, 4), st.lists(st.integers(-2, 5), max_size=3)),
         st.sampled_from(["chain:", "chain:x", "chain:2:rofl=1", "chain:2:refl=a",
-                         "chain:2:refl=1:0", "no-such-frame.json", "."])),
+                         "chain:2:refl=1:0", "no-such-frame.json", "."]),
+        st.sampled_from(sorted(set(FRAME_FILES) - {"frame.json"}))),
 )
 
 ATOMS = st.one_of(
@@ -113,6 +127,17 @@ ARGV = st.one_of(
 ).flatmap(lambda argv: st.sampled_from([argv, argv + ["--json"]]))
 
 
+@pytest.fixture(scope="module", autouse=True)
+def frame_files(tmp_path_factory):
+    """Run this module's tests in a directory holding FRAME_FILES."""
+    path = tmp_path_factory.mktemp("frames")
+    for name, text in FRAME_FILES.items():
+        (path / name).write_text(text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(path)
+        yield
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(argv=ARGV)
 @example(argv=["fixpoint", "--frame=chain:2", "--term=<>x|x", "--pivot=x", "--base=-1"])
@@ -168,3 +193,8 @@ def test_deep_json_files_are_input_errors(tmp_path, depth, argv):
     path = tmp_path / "deep.json"
     path.write_text("[" * depth + "]" * depth)
     assert_input_error([arg.format(path) for arg in argv])
+
+
+@pytest.mark.parametrize("name", sorted(set(FRAME_FILES) - {"frame.json"}))
+def test_frame_files_that_break_a_world_rule_are_input_errors(name):
+    assert_input_error(["transitivity", f"--frame={name}", "--max=2"])

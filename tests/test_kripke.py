@@ -13,7 +13,7 @@ from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
                                load_frame, valuation_from_json, worlds_to_bits)
-from modalbench.chains import lemma_valuation, make_chain
+from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
 from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, leq
 from modalbench.vector import SpaceEvaluator
@@ -73,22 +73,57 @@ def test_world_indices_are_bounded_before_shifting():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("call", [
+    # a raw TypeError or ValueError before
+    lambda: worlds_to_bits([1.5]),
+    lambda: frame_from_edges(3, [(0, 1.5)]),
+    lambda: frame_from_edges(3, [(0, 1, 2)]),
+    lambda: frame_from_edges(3, [5]),
+    # accepted before, a bool or a float read as a world or a count
+    lambda: frame_from_edges(3, [(True, 2)]),
+    lambda: make_chain(3, [1.0]),
+    lambda: Frame(2, (True, 0)),
+    lambda: Frame(True, (0,)),
+    lambda: enumerate_chains(True),
+    lambda: evaluate_orbit(Model(make_chain(2), Valuation()),
+                           chain_term(TermStore()), "x", True, 2),
+    # one world 1, the other world 0, before
+    lambda: Valuation.from_sets({"x": [True]}),
+    lambda: Valuation({"x": True}),
+], ids=["float-world", "float-edge-end", "three-element-edge", "edge-not-a-pair",
+        "bool-edge-end", "float-reflexive-point", "bool-successor-set", "bool-world-count",
+        "bool-chain-size", "bool-orbit-base", "bool-world", "bool-bitset"])
+def test_world_rules_refuse_every_non_int(call):
+    with pytest.raises(InputError, match="must be an int|is not a pair"):
+        call()
+
+
+def test_world_counts_past_the_cap_are_cap_refusals():
+    # lemma_valuation(40) blamed world 65 before; the 81-world chain is the cause
+    with pytest.raises(CapExceededError, match="^81 worlds exceeds the 64-world cap$"):
+        lemma_valuation(40)
+
+
+def test_evaluator_refuses_out_of_frame_assignments(store):
+    # the assignment was masked to the frame before, answering 1
+    with pytest.raises(InputError, match="^x mentions worlds outside the frame$"):
+        Evaluator(make_chain(2)).evaluate(store.var("x"), {"x": 0b1101})
+    with pytest.raises(InputError, match="^x must be an int, not bool$"):
+        Evaluator(make_chain(2)).evaluate(store.var("x"), {"x": True})
+
+
 def test_valuation_basics():
     v = Valuation.from_sets({"x": [0, 2]})
     assert v.bits("x") == 0b101
     assert v.bits("missing") == 0
     assert "x" in v and "missing" not in v
-    w = v.with_bits("y", 0b10)
-    assert v.bits("y") == 0 and w.bits("y") == 0b10
-    assert w.to_sets() == {"x": [0, 2], "y": [1]}
+    assert Valuation({"x": 0b101, "y": 0b10}).to_sets() == {"x": [0, 2], "y": [1]}
     assert v == Valuation({"x": 0b101}) and hash(v) == hash(Valuation({"x": 0b101}))
     with pytest.raises(InputError):
         Valuation({"x": -1})
     for bad in ([0], "1", 1.0, None):
         with pytest.raises(InputError):
             Valuation({"x": bad})
-        with pytest.raises(InputError):
-            v.with_bits("x", bad)
     with pytest.raises(InputError):
         valuation_from_json({"x": [0, -1]})
     assert valuation_from_json({"x": [1]}) == Valuation({"x": 0b10})
