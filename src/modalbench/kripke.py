@@ -11,20 +11,24 @@ its backend, which supplies diamond. Model and Evaluator run it on ints, with
 diamond as a loop over the successor sets; the vectorized SpaceEvaluator in
 vector.py runs it on numpy arrays that hold one bitset per valuation in the
 narrowest unsigned word that holds the frame's worlds, with diamond as one
-byte-table lookup per byte of the world set.
+byte-table lookup per byte of the world set. The array backend also passes
+remaining-parent counts (parent_counts), so a node's array leaves the memo
+once its last parent is computed; the int backend keeps every node.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
 through check_int, which refuses bools (JSON true and false) and floats.
+A Frame's successor sets come as a tuple, and an int too long to print in
+decimal is named by its bit length in a refusal.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
 
 from . import terms
 from .errors import CapExceededError, InputError, MissingVariableWarning
@@ -42,6 +46,9 @@ class Frame:
 
     def __post_init__(self) -> None:
         check_world_count(self.worlds)
+        if type(self.succ) is not tuple:
+            raise InputError("successor sets must be a tuple of ints, "
+                             f"not {type(self.succ).__name__}")
         if len(self.succ) != self.worlds:
             raise InputError("successor table length must equal the world count")
         for w, bits in enumerate(self.succ):
@@ -75,7 +82,7 @@ def check_world_count(worlds: int) -> int:
     if check_int(worlds, "world count") < 0:
         raise InputError("world count must be nonnegative")
     if worlds > MAX_WORLDS:
-        raise CapExceededError(f"{worlds} worlds exceeds the {MAX_WORLDS}-world cap")
+        raise CapExceededError(f"{_shown(worlds)} worlds exceeds the {MAX_WORLDS}-world cap")
     return worlds
 
 
@@ -84,18 +91,31 @@ def check_world(w: int, worlds: int) -> int:
     only after this check, so no number can ask for a huge or negative shift."""
     if not 0 <= check_int(w, "world number") < worlds:
         span = f"0..{worlds - 1}" if worlds else "the empty frame"
-        raise InputError(f"world {w} is outside {span}")
+        raise InputError(f"world {_shown(w)} is outside {span}")
     return w
+
+
+def _shown(value: object) -> str:
+    """value in a refusal message: an int past 64 bits by its size, since
+    decimal conversion stops at 4300 digits, anything else by repr."""
+    if type(value) is int and value.bit_length() > 64:
+        return f"<{value.bit_length()}-bit int>"
+    try:
+        return repr(value)
+    except ValueError:  # a container holding an int past the digit limit
+        return f"<{type(value).__name__}>"
 
 
 def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]]) -> Frame:
     """Build a frame from an edge list, each edge a pair of world numbers;
     edge order is irrelevant and duplicate edges collapse."""
     check_world_count(worlds)
+    if not isinstance(edges, Iterable):
+        raise InputError(f"edges must be an iterable of pairs, not {type(edges).__name__}")
     succ = [0] * worlds
     for edge in edges:
         if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
-            raise InputError(f"edge {edge!r} is not a pair of worlds")
+            raise InputError(f"edge {_shown(edge)} is not a pair of worlds")
         succ[check_world(edge[0], worlds)] |= 1 << check_world(edge[1], worlds)
     return Frame(worlds, tuple(succ))
 
@@ -242,7 +262,8 @@ def int_ops(frame: Frame) -> tuple:
     return 0, frame.mask, dia
 
 
-def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable) -> list:
+def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable,
+                   parents: dict | None = None) -> list:
     """Values of the root terms in the complex algebra of a frame.
 
     Every node below the roots that memo (term -> value) lacks is computed
@@ -253,8 +274,19 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
     backend: ints for the scalar evaluators (int_ops), numpy arrays of the
     frame's word dtype for the vectorized one (vector._array_ops), and box is
     not-dia-not. leaf(name) gives a variable's value. Terms key the memo by
-    identity, so terms of several stores share one memo without colliding."""
+    identity, so terms of several stores share one memo without colliding.
+
+    parents, if given, holds remaining-parent counts (parent_counts): each
+    computed node takes one from the count of each of its arguments, and an
+    argument whose count reaches zero leaves the memo, so a memo of arrays
+    holds the DAG's width, not its size. The roots lose their counts and
+    stay, as do nodes without one. A node dropped and then needed by a
+    parent outside the counts is computed again, so any statement gets the
+    right value under any counts."""
     zero, mask, dia = ops
+    if parents:
+        for root in roots:
+            parents.pop(root, None)
     stack = list(roots)
     while stack:
         t = stack[-1]
@@ -288,13 +320,41 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
             else:  # box
                 out = mask ^ dia(mask ^ a)
         memo[t] = out
+        if parents:
+            for a in t.args:
+                left = parents.get(a)
+                if left is not None:
+                    if left == 1:
+                        del parents[a], memo[a]
+                    else:
+                        parents[a] = left - 1
     return [memo[root] for root in roots]
 
 
-def evaluate_gap(ops: tuple, stmt: Statement, memo: dict, leaf: Callable):
+def parent_counts(statements: Iterable[Statement]) -> dict[Term, int]:
+    """The parents argument of evaluate_nodes for evaluating the statements
+    together: for each node below them that has arguments and is no side of
+    any statement, the number of argument slots it fills in the distinct
+    nodes above it. Leaves and sides get no count, so they are never dropped."""
+    sides = {side: None for stmt in statements for side in (stmt.lhs, stmt.rhs)}
+    counts: dict[Term, int] = {}
+    stack = list(sides)  # each node is expanded once: a side here, others when first counted
+    while stack:
+        for a in stack.pop().args:
+            if a.args and a not in sides:
+                n = counts.get(a, 0)
+                counts[a] = n + 1
+                if not n:
+                    stack.append(a)
+    return counts
+
+
+def evaluate_gap(ops: tuple, stmt: Statement, memo: dict, leaf: Callable,
+                 parents: dict | None = None):
     """Worlds where the statement fails: where the sides differ for an
-    equation, where lhs holds without rhs for an inequation."""
-    lhs, rhs = evaluate_nodes(ops, (stmt.lhs, stmt.rhs), memo, leaf)
+    equation, where lhs holds without rhs for an inequation. memo and
+    parents are evaluate_nodes'."""
+    lhs, rhs = evaluate_nodes(ops, (stmt.lhs, stmt.rhs), memo, leaf, parents)
     if stmt.kind == terms.EQ:
         return lhs ^ rhs
     return lhs & (ops[1] ^ rhs)

@@ -23,9 +23,16 @@ statement's array, not the product: every gap over the block, and every
 intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
 statement is evaluated through SpaceEvaluator.gap on the block, which shares
 node arrays between the block's statements and starts afresh on the next
-block. A lone statement's first failure is read off its own gap, at any
-block size. Premises are combined with the conclusion in one mask of the
-block's shape when the block fits the budget; a larger block, which arises
+block. The scan counts each node's parents among all its statements once
+(kripke.parent_counts), and each block starts from a copy of the counts: a
+node array is dropped as soon as its last parent is computed, so the arrays
+live at once are the DAG's width, not its size, while the statement sides
+and variable leaves stay for the block. A node shared by the conclusion and
+a premise is computed once per block, even when the premise is drawn late.
+Sampled validity drops node arrays the same way in each batch. A lone
+statement's first failure is read off its own gap, at any block size.
+Premises are combined with the conclusion in one mask of the block's shape
+when the block fits the budget; a larger block, which arises
 only when a statement omits a variable the block ranges over, is searched by
 variable elimination without an array of its shape. A single statement over
 every variable (most validity checks) gains nothing from this: its gap is
@@ -43,7 +50,7 @@ from __future__ import annotations
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .kripke import Frame, evaluate_gap, evaluate_nodes
+from .kripke import Frame, evaluate_gap, evaluate_nodes, parent_counts
 from .terms import Statement, Term, statement_vars
 
 if TYPE_CHECKING:
@@ -60,9 +67,15 @@ class SpaceEvaluator:
     Results are arrays of world bitsets in the frame's word dtype
     (word_dtype); axis i enumerates the bitsets of names[i] in the block's
     [lo, hi) range, in increasing numeric order.
-    Variables mentioned nowhere in `names` evaluate to the empty set. Nodes
-    are cached by identity, so statements sharing subterms share their arrays;
-    entering another block starts an empty memo."""
+    Variables mentioned nowhere in `names` evaluate to the empty set. Node
+    arrays are memoized by identity for the current block, so statements
+    sharing subterms share their arrays; entering another block starts an
+    empty memo. After plan(statements), each block also starts from a copy
+    of those statements' remaining-parent counts, and a node array leaves
+    the memo once its last parent among them is computed: the memo holds
+    the statement sides, the variable leaves and the nodes still awaited,
+    which is the DAG's width, not its size. Any term or statement, planned
+    or not, still gets its right value."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
@@ -72,22 +85,32 @@ class SpaceEvaluator:
         self._axis = {name: i for i, name in enumerate(self.names)}
         self._block = self._whole = ((0, self.size),) * len(self.names)
         self._memo: dict[Term, np.ndarray] = {}
+        self._parents: dict[Term, int] = {}  # the plan's counts
+        self._left: dict[Term, int] = {}  # the current block's copy of them
+
+    def plan(self, statements: list[Statement]) -> None:
+        """Count parents for a scan that evaluates these statements on each
+        block, and start the next block afresh. A node shared by several of
+        them is computed once per block, whichever of them are evaluated."""
+        self._parents = parent_counts(statements)
+        self._block = None
 
     def evaluate(self, term: Term) -> np.ndarray:
         """The term's array over the whole space."""
         self._enter(self._whole)
-        return evaluate_nodes(self.ops, (term,), self._memo, self._leaf)[0]
+        return evaluate_nodes(self.ops, (term,), self._memo, self._leaf, self._left)[0]
 
     def gap(self, stmt: Statement, block: tuple | None = None) -> np.ndarray:
         """Bitset array of worlds where the statement fails, per assignment of
         the block (one [lo, hi) range per name; None is the whole space)."""
         self._enter(block or self._whole)
-        return evaluate_gap(self.ops, stmt, self._memo, self._leaf)
+        return evaluate_gap(self.ops, stmt, self._memo, self._leaf, self._left)
 
     def _enter(self, block: tuple) -> None:
         if block != self._block:
             self._block = block
             self._memo = {}
+            self._left = dict(self._parents)
 
     def _leaf(self, name: str) -> np.ndarray:
         import numpy as np
@@ -173,7 +196,9 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     block holding a countermodel."""
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
-    step = _widest_step(names, size, [conclusion, *premises])
+    statements = [conclusion, *premises]
+    step = _widest_step(names, size, statements)
+    evaluator.plan(statements)
     start = 0
     while start < total:
         # A lone statement doubles its blocks from _FIRST_BLOCK, so an early
@@ -270,12 +295,13 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
 
     ops = _array_ops(frame, 1)
     zero = ops[0]
+    parents = parent_counts([stmt])
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
         table = np.fromiter(values, dtype=zero.dtype, count=rows * len(names))
         table = table.reshape(rows, len(names))
         columns = dict(zip(names, table.T))
-        gap = evaluate_gap(ops, stmt, {}, lambda name: columns.get(name, zero))
+        gap = evaluate_gap(ops, stmt, {}, lambda name: columns.get(name, zero), dict(parents))
         hit = _first_in_block((rows,), gap, ())
         if hit is not None:
             return done + hit[0], tuple(int(v) for v in table[hit[0]])

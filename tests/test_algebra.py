@@ -268,3 +268,21 @@ def test_finished_check_frees_its_node_arrays_without_the_collector():
         gc.enable()
     assert report.verdict == "countermodel"
     assert held < 1 << 20
+
+
+def test_validity_memory_follows_the_dag_width_not_its_size():
+    # every node array stayed to the end of its block: 5 MiB more per step of n
+    store = TermStore()
+    names = ["x", "y", "z"]
+    check_validity(make_chain(7), parse_statement("tpow(1) = tpow(2)", store), names)
+    peaks = []
+    for n in range(4, 9):
+        stmt = parse_statement(f"tpow({n}) = tpow({n + 1})", store)
+        tracemalloc.start()
+        try:
+            report = check_validity(make_chain(7), stmt, names)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "valid" and report.valuations_tried == 1 << 21
+    assert all(peak < 8 << 20 and peak < 1.25 * peaks[0] for peak in peaks), peaks

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
 from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
-                               bits_to_worlds, evaluate, evaluate_nodes,
-                               evaluate_orbit, frame_from_edges,
+                               bits_to_worlds, check_world, check_world_count,
+                               evaluate, evaluate_nodes, evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
                                load_frame, valuation_from_json, worlds_to_bits)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
@@ -96,6 +96,44 @@ def test_world_indices_are_bounded_before_shifting():
 def test_world_rules_refuse_every_non_int(call):
     with pytest.raises(InputError, match="must be an int|is not a pair"):
         call()
+
+
+@pytest.mark.parametrize("call, kind", [
+    # a raw TypeError before
+    (lambda: Frame(2, 5), "not int"),
+    (lambda: frame_from_edges(2, 5), "not int"),
+    # accepted before, then unhashable
+    (lambda: Frame(2, [0, 0]), "not list"),
+], ids=["int-successors", "int-edges", "list-successors"])
+def test_frames_refuse_bad_containers(call, kind):
+    with pytest.raises(InputError, match=kind):
+        call()
+
+
+@pytest.mark.parametrize("call, error", [
+    # a raw ValueError before: the refusal printed the number in decimal
+    (lambda: check_world(10 ** 5000, 3), InputError),
+    (lambda: check_world(-10 ** 5000, 3), InputError),
+    (lambda: check_world_count(10 ** 5000), CapExceededError),
+    (lambda: worlds_to_bits([10 ** 5000]), InputError),
+    (lambda: frame_from_edges(3, [(10 ** 5000,)]), InputError),
+], ids=["world", "negative-world", "world-count", "world-list", "edge"])
+def test_numbers_too_long_to_print_are_refused_by_their_size(call, error):
+    with pytest.raises(error) as refusal:
+        call()
+    assert len(str(refusal.value)) < 100
+
+
+def test_a_model_answers_a_term_again_from_its_memo(store):
+    model = Model(make_chain(3), lemma_valuation(1))
+    zero, mask, dia = model.ops
+    calls = []
+    model.ops = (zero, mask, lambda a: calls.append(a) or dia(a))
+    t = parse_formula("tpow(3)", store)
+    first = evaluate(model, t)
+    assert calls
+    made = len(calls)
+    assert evaluate(model, t) == first and len(calls) == made
 
 
 def test_world_counts_past_the_cap_are_cap_refusals():

@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
+from modalbench import terms
 from modalbench.algebra import check_validity
+from modalbench.chains import make_chain
+from modalbench.consequence import build_sigma_pi
 from modalbench.errors import CapExceededError
 from modalbench.kripke import Evaluator, Frame, bits_to_worlds
-from modalbench.terms import TermStore, eq, leq, node_count
+from modalbench.terms import TermStore, chain_term, eq, leq, node_count, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
 from oracles import naive_eval, naive_first_countermodel
@@ -307,3 +310,53 @@ def test_store_binding_and_world_cap(store):
     assert [int(v) for v in ev.evaluate(other.not_(other.var("x")))] == [1, 0]
     with pytest.raises(CapExceededError):
         Frame(65, (0,) * 65)
+
+
+def test_a_premise_scan_computes_each_modal_node_once_per_block(store, monkeypatch):
+    # the conclusion pi_3 holds the premise pi_2's left side; the conclusion is
+    # evaluated first and must keep that side for the premise, which a block
+    # draws only where the conclusion fails
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 1 << 8)
+    _, pi = build_sigma_pi(chain_term(store), "x", 3)
+    premise, conclusion = pi[2], pi[3]
+    assert premise.lhs in set(walk(conclusion.lhs))
+    frame, names = make_chain(3), ["y", "y1", "z", "z1"]
+    ev = SpaceEvaluator(frame, names)
+    zero, mask, dia = ev.ops
+    drawn: dict = {}  # block -> [statements evaluated on it, diamond calls]
+    block_of = []
+
+    def counted_dia(a):
+        drawn[block_of[-1]][1] += 1
+        return dia(a)
+
+    def gap(stmt, block=None):
+        block_of.append(block)
+        drawn.setdefault(block, [[], 0])[0].append(stmt)
+        return real_gap(stmt, block)
+
+    real_gap = ev.gap
+    ev.ops = (zero, mask, counted_dia)
+    monkeypatch.setattr(ev, "gap", gap)
+    hit = first_countermodel(ev, [premise], conclusion)
+    assert hit == naive_first_countermodel(frame, names, [premise], conclusion)
+    assert len(drawn) > 1 and any(len(stmts) == 2 for stmts, _ in drawn.values())
+    for stmts, calls in drawn.values():
+        nodes = {t for s in stmts for side in (s.lhs, s.rhs) for t in walk(side)}
+        assert calls == sum(t.kind in (terms.DIA, terms.BOX) for t in nodes)
+
+
+def test_a_statement_outside_the_plan_gets_its_value(store, monkeypatch):
+    # after a scan each block starts from the plan's counts; a side of this
+    # statement is a node the plan drops once its last planned parent is computed
+    monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 4)
+    frame, names = Frame(3, (0b110, 0b100, 0b100)), ["x", "y"]
+    inner = store.box(store.or_(store.var("x"), store.var("y")))
+    planned = leq(store.dia(store.dia(inner)), store.var("y"))
+    aside = eq(store.dia(inner), inner)
+    ev = SpaceEvaluator(frame, names)
+    first_countermodel(ev, [], planned)
+    fresh = SpaceEvaluator(frame, names)
+    for stmt in (aside, planned, aside):
+        assert (ev.gap(stmt) == fresh.gap(stmt)).all()
+    assert (ev.evaluate(inner) == fresh.evaluate(inner)).all()
