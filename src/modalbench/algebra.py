@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
-from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, int_ops
+from .kripke import Evaluator, Frame, Valuation, _shown, bits_to_worlds, int_ops
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
@@ -60,9 +60,9 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     all-full valuations, then seeded pseudorandom ones, in batches along one
     array axis. Sampling never concludes "valid"."""
     if samples is not None and samples < 0:
-        raise InputError(f"sample count must be nonnegative, got {samples}")
+        raise InputError(f"sample count must be nonnegative, got {_shown(samples)}")
     if bit_cap < 0:
-        raise InputError(f"bit cap must be nonnegative, got {bit_cap}")
+        raise InputError(f"bit cap must be nonnegative, got {_shown(bit_cap)}")
     needed = statement_vars(stmt)
     names = sorted(needed) if variables is None else [check_name(n) for n in variables]
     given = set(names)
@@ -214,7 +214,7 @@ def uniform_stabilization(frames: list[Frame], term: Term, pivot: str, max_n: in
     if max_n < 0:
         raise InputError("max_n must be nonnegative")
     if bit_cap < 0:
-        raise InputError(f"bit cap must be nonnegative, got {bit_cap}")
+        raise InputError(f"bit cap must be nonnegative, got {_shown(bit_cap)}")
     variables = [pivot] + sorted(free_vars(term) - {pivot})
     for n in range(max_n + 1):
         stmt = eq(iterate(term, pivot, n), iterate(term, pivot, n + 1))

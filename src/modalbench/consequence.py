@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import DEFAULT_BIT_CAP
 from .errors import CapExceededError, InputError
-from .kripke import Frame, Valuation
+from .kripke import Frame, Valuation, _shown
 from .terms import (Statement, Term, eq, free_vars, iterate, leq,
                     statement_vars, substitute)
 from .vector import SpaceEvaluator, decode_index, first_countermodel
@@ -33,7 +33,7 @@ class ConsequenceProblem:
         object.__setattr__(self, "premises", tuple(self.premises))
         object.__setattr__(self, "frames", tuple(self.frames))
         if self.max_bits < 0:
-            raise InputError(f"bit budget must be nonnegative, got {self.max_bits}")
+            raise InputError(f"bit budget must be nonnegative, got {_shown(self.max_bits)}")
 
     def variables(self) -> list[str]:
         names = set(statement_vars(self.conclusion))

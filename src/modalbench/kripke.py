@@ -7,11 +7,12 @@ makes evaluation results cheap to memoize and compare.
 evaluate_nodes is the only place where the connectives get their meaning: the
 operations of the frame's complex algebra (Jonsson-Tarski), with box as the
 dual of diamond. It walks the term DAG without recursion and is generic in
-its backend, which supplies diamond. Model and Evaluator run it on ints, with
-diamond as a loop over the successor sets; the vectorized SpaceEvaluator in
-vector.py runs it on numpy arrays that hold one bitset per valuation in the
-narrowest unsigned word that holds the frame's worlds, with diamond as one
-byte-table lookup per byte of the world set. The array backend also passes
+its backend, which supplies diamond and box. Model and Evaluator run it on
+ints, with each modality as a loop over the successor sets; the vectorized
+SpaceEvaluator in vector.py runs it on numpy arrays that hold one bitset per
+valuation in the narrowest unsigned word that holds the frame's worlds, with
+each modality as one byte-table read per byte of the world set, from tables
+built once per frame. The array backend also passes
 remaining-parent counts (parent_counts), so a node's array leaves the memo
 once its last parent is computed; the int backend keeps every node.
 
@@ -246,10 +247,12 @@ class Model:
 
 
 def int_ops(frame: Frame) -> tuple:
-    """The int backend of evaluate_nodes: zero, mask and diamond on Python
-    ints. Diamond loops over the successor sets: one evaluation on one
-    valuation is too little work to pay for building the byte tables of the
-    array backend, which a Model, built per valuation, would pay each time."""
+    """The int backend of evaluate_nodes: zero, mask, diamond and box on
+    Python ints. Both loop over the successor sets: w is in dia(a) when a
+    meets its successors, and in box(a) when they miss the worlds outside a.
+    One evaluation on one valuation is too little work to pay for the byte
+    tables of the array backend."""
+    mask = frame.mask
     pairs = tuple((s, 1 << w) for w, s in enumerate(frame.succ))
 
     def dia(a: int) -> int:
@@ -259,7 +262,15 @@ def int_ops(frame: Frame) -> tuple:
                 out |= bit
         return out
 
-    return 0, frame.mask, dia
+    def box(a: int) -> int:
+        outside = mask ^ a
+        out = 0
+        for s, bit in pairs:
+            if not s & outside:
+                out |= bit
+        return out
+
+    return 0, mask, dia, box
 
 
 def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable,
@@ -268,13 +279,15 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
 
     Every node below the roots that memo (term -> value) lacks is computed
     children first with an explicit stack, so term depth is not limited by
-    recursion. ops = (zero, mask, dia) is the backend: zero and mask are the
-    empty and the full world set, dia maps a value to the worlds with a
-    successor in it. The Boolean connectives are the same operators on every
-    backend: ints for the scalar evaluators (int_ops), numpy arrays of the
-    frame's word dtype for the vectorized one (vector._array_ops), and box is
-    not-dia-not. leaf(name) gives a variable's value. Terms key the memo by
-    identity, so terms of several stores share one memo without colliding.
+    recursion. ops = (zero, mask, dia, box) is the backend: zero and mask are
+    the empty and the full world set, dia maps a value to the worlds with a
+    successor in it, and box to the worlds whose successors all lie in it,
+    which is mask ^ dia(mask ^ value), computed in one step. The Boolean
+    connectives are the same operators on every backend: ints for the scalar
+    evaluators (int_ops), numpy arrays of the frame's word dtype for the
+    vectorized one (vector._array_ops). leaf(name) gives a variable's value.
+    Terms key the memo by identity, so terms of several stores share one
+    memo without colliding.
 
     parents, if given, holds remaining-parent counts (parent_counts): each
     computed node takes one from the count of each of its arguments, and an
@@ -283,7 +296,7 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
     stay, as do nodes without one. A node dropped and then needed by a
     parent outside the counts is computed again, so any statement gets the
     right value under any counts."""
-    zero, mask, dia = ops
+    zero, mask, dia, box = ops
     if parents:
         for root in roots:
             parents.pop(root, None)
@@ -318,7 +331,7 @@ def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable
             elif kind == terms.DIA:
                 out = dia(a)
             else:  # box
-                out = mask ^ dia(mask ^ a)
+                out = box(a)
         memo[t] = out
         if parents:
             for a in t.args:

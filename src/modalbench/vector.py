@@ -13,10 +13,15 @@ The evaluation itself is kripke.evaluate_nodes, the loop the scalar
 evaluators run on ints. This module supplies only its array backend,
 _array_ops, and the variable axes. A world set is stored in the narrowest
 unsigned word that holds the frame's worlds (word_dtype: one byte per entry
-up to 8 worlds, eight above 32), and diamond is computed by table lookup in
-the four-Russians style: with T_b[v] the worlds that have a successor in the
-world set v << 8b, dia(S) = OR_b T_b[byte b of S], one gather per byte of the
-word. The tables hold 256 words each and are built once per backend.
+up to 8 worlds, eight above 32), and diamond and box are computed by table
+lookup in the four-Russians style: with D_b[v] the worlds that have a
+successor in the world set v << 8b, dia(S) = OR_b D_b[byte b of S], and with
+B_b[v] the worlds that have none among byte b's worlds outside v,
+box(S) = AND_b B_b[byte b of S], one read per byte of the word. The tables
+hold 256 words each; they are built once per frame and kept for the last
+_TABLE_FRAMES frames (_tables). A read goes through ndarray.take, about
+twice as fast here as fancy indexing, in runs of _TAKE entries, since take
+copies its whole index to intp first.
 
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
@@ -47,6 +52,7 @@ transitivity, fixpoint) never do.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -58,6 +64,8 @@ if TYPE_CHECKING:
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
 _FIRST_BLOCK = 1 << 12  # a lone statement's first block, doubled up to the step
+_TAKE = 1 << 14  # the most entries a byte-table read indexes at once
+_TABLE_FRAMES = 128  # the frames whose byte tables are kept
 
 
 class SpaceEvaluator:
@@ -137,30 +145,71 @@ def word_dtype(worlds: int) -> np.dtype:
 def _array_ops(frame: Frame, rank: int) -> tuple:
     """The array backend of evaluate_nodes: a zero array of the given rank
     with every axis of length 1 and the mask, both in the frame's word dtype,
-    and diamond by byte-table lookup. Table b maps each byte value v to the
-    worlds with a successor in the world set v << 8b; it is built by doubling,
-    one world of the byte at a time, from the worlds' predecessor sets."""
+    then diamond and box, each one read of the frame's byte tables (_tables)
+    per byte of the word: the OR of the diamond tables' words, the AND of
+    the box tables'."""
+    import numpy as np
+
+    dia_tables, box_tables = _tables(frame)
+    dtype = dia_tables[0].dtype
+    return (np.zeros((1,) * rank, dtype=dtype), dtype.type(frame.mask),
+            lambda a: _read(dia_tables, np.bitwise_or, a),
+            lambda a: _read(box_tables, np.bitwise_and, a))
+
+
+@lru_cache(maxsize=_TABLE_FRAMES)
+def _tables(frame: Frame) -> tuple:
+    """The frame's diamond and box tables, one of each per byte of its word,
+    read-only. Diamond table b maps each byte value v to the worlds with a
+    successor in the world set v << 8b; it is built by doubling, one world
+    of the byte at a time, from the worlds' predecessor sets. Box table b
+    maps v to mask ^ D_b[width ^ (v & width)], width being the byte's worlds:
+    the worlds with no successor among the byte's worlds outside v."""
     import numpy as np
 
     dtype = word_dtype(frame.worlds)
     preds = [sum(1 << w for w, s in enumerate(frame.succ) if s >> u & 1)
              for u in range(frame.worlds)]
-    tables = []
+    dia_tables, box_tables = [], []
     for low in range(0, max(frame.worlds, 1), 8):
         table = [0]
         for pred in preds[low:low + 8]:
             table += [v | pred for v in table]
+        width = len(table) - 1
         # repeated to 256 entries: bits past the last world are never set
-        tables.append(np.array(table * (256 // len(table)), dtype=dtype))
-    shifts = range(8, 8 * len(tables), 8)
+        dia = np.array(table * (256 // len(table)), dtype=dtype)
+        box = dtype.type(frame.mask) ^ dia[width ^ (np.arange(256) & width)]
+        dia.setflags(write=False)
+        box.setflags(write=False)
+        dia_tables.append(dia)
+        box_tables.append(box)
+    return tuple(dia_tables), tuple(box_tables)
 
-    def dia(a):
-        out = tables[0][a.astype(np.uint8, copy=False)]
-        for shift, table in zip(shifts, tables[1:]):
-            out |= table[(a >> shift).astype(np.uint8)]
-        return out
 
-    return np.zeros((1,) * rank, dtype=dtype), dtype.type(frame.mask), dia
+def _read(tables: tuple, combine, a: np.ndarray) -> np.ndarray:
+    """combine over b of tables[b][byte b of a], entry by entry. take copies
+    its index to intp, eight bytes an entry, so an array longer than _TAKE is
+    read _TAKE entries at a time into one output."""
+    import numpy as np
+
+    if a.size <= _TAKE:
+        return _read_run(tables, combine, a)
+    flat = a.reshape(-1)
+    out = np.empty(flat.shape, dtype=tables[0].dtype)
+    for lo in range(0, flat.size, _TAKE):
+        _read_run(tables, combine, flat[lo:lo + _TAKE], out[lo:lo + _TAKE])
+    return out.reshape(a.shape)
+
+
+def _read_run(tables: tuple, combine, a: np.ndarray, dest=None):
+    """_read of one run of entries, into dest if given. Without dest a
+    closed statement's scalar gets a scalar back."""
+    import numpy as np
+
+    out = tables[0].take(a.astype(np.uint8, copy=False), out=dest)
+    for shift, table in zip(range(8, 8 * len(tables), 8), tables[1:]):
+        out = combine(out, table.take((a >> shift).astype(np.uint8)), out=dest)
+    return out
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:

@@ -93,6 +93,12 @@ class TestCheckValidity:
         assert check_validity(make_chain(1), eq(store.top(), store.top()),
                               bit_cap=0).verdict == "valid"
 
+    @pytest.mark.parametrize("knob", ["bit_cap", "samples"])
+    def test_counts_too_long_to_print_are_refused_by_their_size(self, store, knob):
+        with pytest.raises(InputError, match="<16610-bit int>"):
+            check_validity(make_chain(2), eq(store.var("x"), store.var("x")),
+                           **{knob: -10 ** 5000})
+
     def test_sampling_starts_with_the_empty_valuation(self, store):
         report = check_validity(make_chain(9), parse_statement("tpow(4) = tpow(5)", store),
                                 samples=4096)
@@ -233,6 +239,11 @@ class TestUniformStabilization:
             with pytest.raises(InputError, match="bit cap must be nonnegative, got -1"):
                 uniform_stabilization(frames, diamond_term(store), "x", bit_cap=-1,
                                       samples=16)
+
+    def test_a_cap_too_long_to_print_is_refused_by_its_size(self, store):
+        with pytest.raises(InputError, match="<16610-bit int>"):
+            uniform_stabilization([make_chain(2)], diamond_term(store), "x",
+                                  bit_cap=-10 ** 5000)
 
     def test_sampling_rejects_but_never_certifies(self, store):
         # every candidate through 6 is refuted by the first sample on the

@@ -112,6 +112,12 @@ def test_negative_budget_is_an_input_error(store):
                                                 (make_chain(2),), max_bits=0)).holds
 
 
+def test_a_budget_too_long_to_print_is_refused_by_its_size(store):
+    with pytest.raises(InputError, match="<16610-bit int>"):
+        ConsequenceProblem((), leq(store.var("x"), store.var("x")), (make_chain(2),),
+                           max_bits=-10 ** 5000)
+
+
 def test_countermodels_reverify_and_point_at_a_failure_world(store):
     sigma, pi = build_sigma_pi(chain_term(store), "x", 2)
     frames = tuple(enumerate_chains(3))

@@ -1,6 +1,7 @@
 """Frames, valuations, models, and bitset evaluation against the naive oracle."""
 
 import json
+import random
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                bits_to_worlds, check_world, check_world_count,
                                evaluate, evaluate_nodes, evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
-                               load_frame, valuation_from_json, worlds_to_bits)
+                               int_ops, load_frame, valuation_from_json, worlds_to_bits)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
 from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, leq
@@ -126,9 +127,10 @@ def test_numbers_too_long_to_print_are_refused_by_their_size(call, error):
 
 def test_a_model_answers_a_term_again_from_its_memo(store):
     model = Model(make_chain(3), lemma_valuation(1))
-    zero, mask, dia = model.ops
+    zero, mask, dia, box = model.ops
     calls = []
-    model.ops = (zero, mask, lambda a: calls.append(a) or dia(a))
+    model.ops = (zero, mask, lambda a: calls.append(a) or dia(a),
+                 lambda a: calls.append(a) or box(a))
     t = parse_formula("tpow(3)", store)
     first = evaluate(model, t)
     assert calls
@@ -186,6 +188,17 @@ def test_box_and_diamond_edges(store):
     # box holds vacuously at the top world, which has no successors
     assert evaluate(model, store.box(store.bot())) == 0b100
     assert evaluate(model, store.box(store.var("x"))) == 0b110
+
+
+def test_int_box_is_not_dia_not_on_every_world_set():
+    rng = random.Random(6)
+    for worlds in range(7):
+        for _ in range(8):
+            frame = frame_from_edges(worlds, [(i, j) for i in range(worlds)
+                                              for j in range(worlds) if rng.random() < 0.4])
+            _, mask, dia, box = int_ops(frame)
+            assert [box(a) for a in range(mask + 1)] == [
+                mask ^ dia(mask ^ a) for a in range(mask + 1)]
 
 
 def test_missing_variable_warns_once(store):

@@ -322,13 +322,15 @@ def test_a_premise_scan_computes_each_modal_node_once_per_block(store, monkeypat
     assert premise.lhs in set(walk(conclusion.lhs))
     frame, names = make_chain(3), ["y", "y1", "z", "z1"]
     ev = SpaceEvaluator(frame, names)
-    zero, mask, dia = ev.ops
-    drawn: dict = {}  # block -> [statements evaluated on it, diamond calls]
+    zero, mask, dia, box = ev.ops
+    drawn: dict = {}  # block -> [statements evaluated on it, modal calls]
     block_of = []
 
-    def counted_dia(a):
-        drawn[block_of[-1]][1] += 1
-        return dia(a)
+    def counted(modality):
+        def call(a):
+            drawn[block_of[-1]][1] += 1
+            return modality(a)
+        return call
 
     def gap(stmt, block=None):
         block_of.append(block)
@@ -336,7 +338,7 @@ def test_a_premise_scan_computes_each_modal_node_once_per_block(store, monkeypat
         return real_gap(stmt, block)
 
     real_gap = ev.gap
-    ev.ops = (zero, mask, counted_dia)
+    ev.ops = (zero, mask, counted(dia), counted(box))
     monkeypatch.setattr(ev, "gap", gap)
     hit = first_countermodel(ev, [premise], conclusion)
     assert hit == naive_first_countermodel(frame, names, [premise], conclusion)

@@ -52,6 +52,43 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
                     scalar.evaluate(t, {"x": v}) for v in range(lo, hi)]
 
 
+@pytest.mark.parametrize("worlds", [0, 1, 9, 16, 17, 33, 64])
+def test_reads_longer_than_one_take_match_the_scalar_evaluator(store, worlds):
+    # every word dtype and tables of 1, 2, 3, 5 and 8 bytes; the arrays span
+    # two whole runs of _TAKE entries and a partial one, contiguous and
+    # strided, drawn from a pool of world sets so the scalar side stays small
+    rng = random.Random(worlds)
+    x = store.var("x")
+    frame = random_frame(worlds, 0.3, rng)
+    _, _, dia, box = SpaceEvaluator(frame, ["x"]).ops
+    scalar = Evaluator(frame)
+    pool = sorted({0, frame.mask} | {rng.getrandbits(worlds) for _ in range(300)})
+    values = np.array([rng.choice(pool) for _ in range(2 * (2 * vector._TAKE + 5))],
+                      dtype=word_dtype(worlds)).reshape(2, -1)
+    for a in (values, values[:, ::2]):
+        assert a.size > vector._TAKE
+        for op, t in ((dia, store.dia(x)), (box, store.box(x))):
+            want = {v: scalar.evaluate(t, {"x": v}) for v in pool}
+            got = op(a)
+            assert got.shape == a.shape and got.dtype == a.dtype
+            assert got.tolist() == [[want[v] for v in row] for row in a.tolist()]
+
+
+def test_a_table_read_needs_little_scratch_memory():
+    # take copies its index to intp: eight bytes an entry, read unchunked
+    frame = make_chain(7)
+    box = SpaceEvaluator(frame, ["x"]).ops[3]
+    a = np.arange(1 << 20, dtype=np.uint64).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        out = box(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 1 << 20
+    assert peak - out.nbytes < 1 << 20, peak
+
+
 def test_sampled_check_on_64_worlds_reports_the_first_failing_row(store):
     # eight tables and uint64 words; a sparse frame, so that the rows the
     # hunt starts with (all empty, all full) hold and a random row refutes
