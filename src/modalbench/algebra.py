@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError
-from .kripke import Evaluator, Frame, Valuation, _shown, bits_to_worlds, int_ops
+from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, check_count, int_ops
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
@@ -59,10 +59,9 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     refuses unless given a number of samples to try: the all-empty and
     all-full valuations, then seeded pseudorandom ones, in batches along one
     array axis. Sampling never concludes "valid"."""
-    if samples is not None and samples < 0:
-        raise InputError(f"sample count must be nonnegative, got {_shown(samples)}")
-    if bit_cap < 0:
-        raise InputError(f"bit cap must be nonnegative, got {_shown(bit_cap)}")
+    if samples is not None:
+        check_count(samples, "sample count")
+    check_count(bit_cap, "bit cap")
     needed = statement_vars(stmt)
     names = sorted(needed) if variables is None else [check_name(n) for n in variables]
     given = set(names)
@@ -111,8 +110,7 @@ def transitivity_degree(frame: Frame, max_n: int) -> int | None:
     The walk runs on the converse, whose powers are the converses of the
     powers and stop at the same step: reach[w] holds the worlds that reach w
     in at most n steps and grows by the int backend's diamond."""
-    if max_n < 0:
-        raise InputError("max_n must be nonnegative")
+    check_count(max_n, "max_n")
     dia = int_ops(frame)[2]
     reach = [1 << w for w in range(frame.worlds)]
     for n in range(max_n + 1):
@@ -211,10 +209,8 @@ def uniform_stabilization(frames: list[Frame], term: Term, pivot: str, max_n: in
     every frame; any countermodel rejects it, and an over-cap frame that
     `samples` sampled valuations fail to refute makes the candidate
     undecidable, which raises rather than guesses."""
-    if max_n < 0:
-        raise InputError("max_n must be nonnegative")
-    if bit_cap < 0:
-        raise InputError(f"bit cap must be nonnegative, got {_shown(bit_cap)}")
+    check_count(max_n, "max_n")
+    check_count(bit_cap, "bit cap")
     variables = [pivot] + sorted(free_vars(term) - {pivot})
     for n in range(max_n + 1):
         stmt = eq(iterate(term, pivot, n), iterate(term, pivot, n + 1))

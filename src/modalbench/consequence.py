@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_BIT_CAP
-from .errors import CapExceededError, InputError
-from .kripke import Frame, Valuation, _shown
+from .errors import CapExceededError
+from .kripke import Frame, Valuation, check_count
 from .terms import (Statement, Term, eq, free_vars, iterate, leq,
                     statement_vars, substitute)
 from .vector import SpaceEvaluator, decode_index, first_countermodel
@@ -32,8 +32,7 @@ class ConsequenceProblem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "premises", tuple(self.premises))
         object.__setattr__(self, "frames", tuple(self.frames))
-        if self.max_bits < 0:
-            raise InputError(f"bit budget must be nonnegative, got {_shown(self.max_bits)}")
+        check_count(self.max_bits, "bit budget")
 
     def variables(self) -> list[str]:
         names = set(statement_vars(self.conclusion))
@@ -112,8 +111,7 @@ def build_sigma_pi(term: Term, pivot: str, k_max: int) -> tuple[list[Statement],
     seeded at y by z: [t^k(y) <= z for k = 0..k_max]. Variables of the term
     named y or z (the pivot included) are renamed with the smallest free
     numeric suffix first, deterministically."""
-    if k_max < 0:
-        raise InputError("k_max must be nonnegative")
+    check_count(k_max, "k_max")
     store = term.store
     used = set(free_vars(term)) | {pivot}
     taken = used | {"y", "z"}

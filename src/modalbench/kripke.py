@@ -18,7 +18,8 @@ once its last parent is computed; the int backend keeps every node.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
-through check_int, which refuses bools (JSON true and false) and floats.
+through check_int, which refuses bools (JSON true and false) and floats, as
+does check_count, the rule for the drivers' caps, counts and bounds.
 A Frame's successor sets come as a tuple, and an int too long to print in
 decimal is named by its bit length in a refusal.
 """
@@ -75,6 +76,13 @@ def check_int(value: object, what: str) -> int:
     if type(value) is int:
         return value
     raise InputError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def check_count(value: object, what: str) -> int:
+    """value, if it is a nonnegative int: a count, cap or bound named what."""
+    if check_int(value, what) < 0:
+        raise InputError(f"{what} must be nonnegative, got {_shown(value)}")
+    return value
 
 
 def check_world_count(worlds: int) -> int:

@@ -39,7 +39,11 @@ statement's first failure is read off its own gap, at any block size.
 Premises are combined with the conclusion in one mask of the block's shape
 when the block fits the budget; a larger block, which arises
 only when a statement omits a variable the block ranges over, is searched by
-variable elimination without an array of its shape. A single statement over
+variable elimination without an array of its shape. Its factors are 0/1
+float32 arrays, each written once from its gap; the conclusion's axes are
+ordered for its contraction with the largest premise (those the premise
+lacks, then the shared ones in the premise's order), so the matrix products
+inside einsum read both factors in place. A single statement over
 every variable (most validity checks) gains nothing from this: its gap is
 the product. Sampled validity reads its seeded rows the same way, laid
 along one axis.
@@ -304,19 +308,25 @@ def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
     exactly when one of them is 1. None if the first axis has no such value.
     The greedy contraction order builds no intermediate of more than
     _BLOCK_ENTRIES entries. Premise gaps are drawn only if the conclusion
-    fails somewhere."""
+    fails somewhere.
+
+    Each factor is written once, straight from its gap into a float32
+    buffer (_factor), and its axes are listed in the buffer's order, so the
+    slices that hold earlier axes index it as laid out. The premises keep
+    scan order. The conclusion is laid out for a contraction with the
+    largest premise (the first, on a tie), the step the greedy order starts
+    with on Sigma |= pi_k: first the conclusion's axes that premise lacks,
+    then the shared ones in the premise's order. Each group is then
+    contiguous, so the matmul that einsum runs reads both factors as views."""
     import numpy as np
 
     if not conc.any():
         return None
     ranging = [i for i, n in enumerate(lengths) if n > 1]
     dims = [lengths[i] for i in ranging]
-
-    def factor(truth: np.ndarray) -> tuple:
-        axes = [a for a, i in enumerate(ranging) if truth.shape[i] > 1]
-        return truth.astype(np.float32).reshape([dims[a] for a in axes]), axes
-
-    factors = [factor(conc != 0)] + [factor(g == 0) for g in premise_gaps]
+    premises = [_factor(np.equal, g, ranging, dims) for g in premise_gaps]
+    largest = max(premises, key=lambda f: f[0].size, default=(None, ()))[1]
+    factors = [_factor(np.not_equal, conc, ranging, dims, last=largest)] + premises
     chosen: list[int] = []
     for p in range(len(dims)):
         args = []
@@ -331,6 +341,21 @@ def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
         chosen.append(int(positive[0]))
     local = int(np.ravel_multi_index(chosen, dims))
     return local, int(np.broadcast_to(conc, lengths)[np.unravel_index(local, lengths)])
+
+
+def _factor(truth, gap: np.ndarray, ranging: list[int], dims: list[int],
+            last=()) -> tuple:
+    """(truth(gap, 0) as 0/1 float32, its axes in the buffer's order),
+    written in one pass. The gap's ranging axes keep scan order, except
+    that those in `last` move to the end, in last's order."""
+    import numpy as np
+
+    axes = [a for a, i in enumerate(ranging) if gap.shape[i] > 1]
+    order = [a for a in axes if a not in last] + [a for a in last if a in axes]
+    buffer = np.empty([dims[a] for a in order], dtype=np.float32)
+    truth(gap.reshape([dims[a] for a in axes]), 0,
+          out=buffer.transpose([order.index(a) for a in axes]))
+    return buffer, order
 
 
 def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[int],

@@ -93,6 +93,21 @@ class TestCheckValidity:
         assert check_validity(make_chain(1), eq(store.top(), store.top()),
                               bit_cap=0).verdict == "valid"
 
+    @pytest.mark.parametrize("cap", [3.5, "3", True])
+    def test_a_bit_cap_that_is_no_int_is_refused(self, store, cap):
+        # 3.5 was accepted and printed in the cap message, "3" raised a raw
+        # TypeError and True was a cap of 1
+        with pytest.raises(InputError, match=f"^bit cap must be an int, not {type(cap).__name__}$"):
+            check_validity(make_chain(2), eq(store.var("x"), store.var("x")), bit_cap=cap)
+
+    @pytest.mark.parametrize("count", [2.5, "3", True])
+    def test_a_sample_count_that_is_no_int_is_refused(self, store, count):
+        # True answered with valuations_tried=True, 2.5 and "3" raised a raw TypeError
+        with pytest.raises(InputError,
+                           match=f"^sample count must be an int, not {type(count).__name__}$"):
+            check_validity(make_chain(2), eq(store.var("x"), store.var("x")), bit_cap=1,
+                           samples=count)
+
     @pytest.mark.parametrize("knob", ["bit_cap", "samples"])
     def test_counts_too_long_to_print_are_refused_by_their_size(self, store, knob):
         with pytest.raises(InputError, match="<16610-bit int>"):
@@ -154,6 +169,12 @@ class TestTransitivityDegree:
         assert transitivity_degree(path5, 3) is None
         with pytest.raises(InputError):
             transitivity_degree(path3, -1)
+
+    @pytest.mark.parametrize("bound", [2.5, "3", True])
+    def test_a_bound_that_is_no_int_is_refused(self, bound):
+        # "3" and 2.5 raised a raw TypeError, True was a bound of 1
+        with pytest.raises(InputError, match=f"^max_n must be an int, not {type(bound).__name__}$"):
+            transitivity_degree(frame_from_edges(3, [(0, 1), (1, 2)]), bound)
 
     @given(frame=frames(max_worlds=4), max_n=st.integers(0, 4))
     def test_degree_matches_the_boxdot_axiom(self, frame, max_n):
@@ -244,6 +265,15 @@ class TestUniformStabilization:
         with pytest.raises(InputError, match="<16610-bit int>"):
             uniform_stabilization([make_chain(2)], diamond_term(store), "x",
                                   bit_cap=-10 ** 5000)
+
+    @pytest.mark.parametrize("knob, value, what", [
+        ("max_n", 2.5, "max_n"), ("max_n", "3", "max_n"), ("max_n", True, "max_n"),
+        ("bit_cap", 3.5, "bit cap"), ("bit_cap", True, "bit cap"),
+    ])
+    def test_a_bound_or_cap_that_is_no_int_is_refused(self, store, knob, value, what):
+        # max_n=2.5 and "3" raised a raw TypeError, bit_cap=3.5 was accepted
+        with pytest.raises(InputError, match=f"^{what} must be an int, not {type(value).__name__}$"):
+            uniform_stabilization([make_chain(2)], diamond_term(store), "x", **{knob: value})
 
     def test_sampling_rejects_but_never_certifies(self, store):
         # every candidate through 6 is refuted by the first sample on the

@@ -1,5 +1,8 @@
 """Global consequence over frame families and the premise/target builder."""
 
+import tracemalloc
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +115,21 @@ def test_negative_budget_is_an_input_error(store):
                                                 (make_chain(2),), max_bits=0)).holds
 
 
+@pytest.mark.parametrize("budget", [3.5, "3", True])
+def test_a_budget_that_is_no_int_is_refused(store, budget):
+    # 3.5 was accepted and printed in the cap message, "3" raised a raw TypeError
+    with pytest.raises(InputError, match=f"^bit budget must be an int, not {type(budget).__name__}$"):
+        ConsequenceProblem((), leq(store.var("x"), store.var("x")), (make_chain(2),),
+                           max_bits=budget)
+
+
+@pytest.mark.parametrize("k_max", [1.5, "3", True])
+def test_a_k_max_that_is_no_int_is_refused(store, k_max):
+    # 1.5 and "3" raised a raw TypeError, True built pi_0 and pi_1
+    with pytest.raises(InputError, match=f"^k_max must be an int, not {type(k_max).__name__}$"):
+        build_sigma_pi(chain_term(store), "x", k_max)
+
+
 def test_a_budget_too_long_to_print_is_refused_by_its_size(store):
     with pytest.raises(InputError, match="<16610-bit int>"):
         ConsequenceProblem((), leq(store.var("x"), store.var("x")), (make_chain(2),),
@@ -192,3 +210,36 @@ def test_sigma_consequences_match_the_oracle_at_every_block_size(store, monkeypa
                 assert result.valuation == Valuation(decode_index(idx, names, frame.worlds))
                 assert result.failure_world == (gap & -gap).bit_length() - 1
     assert {j for worlds, j in eliminated if worlds == 2} == {0, 3, 4}
+
+
+def test_sigma_refutes_z_below_y_on_the_five_chain_in_one_block(store, monkeypatch):
+    # at the full budget the irreflexive 5-chain is one elimination block of
+    # 2^25 assignments, and the countermodel is chosen through every axis
+    sigma, _ = build_sigma_pi(chain_term(store), "x", 0)
+    blocks = []
+    real = vector._first_by_elimination
+    monkeypatch.setattr(vector, "_first_by_elimination",
+                        lambda lengths, *args: blocks.append(prod(lengths)) or real(lengths, *args))
+    result = check_consequence(ConsequenceProblem(
+        sigma, parse_statement("z <= y", store), [make_chain(5)], max_bits=25))
+    assert blocks == [1 << 25]
+    assert result.to_json() == {
+        "holds": False, "complete": False, "frame_index": 0,
+        "valuation": {"x": [0, 1, 2, 3, 4], "y": [], "y1": [], "z": [0, 1, 2, 3, 4], "z1": []},
+        "failure_world": 0, "assignments": 32506849}
+
+
+def test_sigma_pi_1_on_the_five_chain_builds_each_factor_once(store):
+    # the conclusion's gap (1 MiB) and its float32 factor (4 MiB) are the
+    # block's largest arrays; a bool copy of the gap and a transposed copy of
+    # the factor for einsum's matmul took the peak to 9.3 MiB
+    sigma, pi = build_sigma_pi(chain_term(store), "x", 1)
+    problem = ConsequenceProblem(sigma, pi[1], [make_chain(5)], max_bits=25)
+    tracemalloc.start()
+    try:
+        result = check_consequence(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.holds
+    assert peak < 7 << 20

@@ -19,6 +19,7 @@ from modalbench.chains import make_chain
 from modalbench.consequence import build_sigma_pi
 from modalbench.errors import CapExceededError
 from modalbench.kripke import Evaluator, Frame, bits_to_worlds
+from modalbench.syntax import parse_statement
 from modalbench.terms import TermStore, chain_term, eq, leq, node_count, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
@@ -94,6 +95,55 @@ def test_elimination_matches_oracle(data):
         return data.draw(st.sampled_from([eq, leq]))(lhs, rhs)
     premises = [stmt(("x", "y"))] + ([stmt(("x", "z"))] if "z" in names else [])
     conclusion = stmt(tuple(n for n in names[1:] if n != "w"))
+    total = (1 << frame.worlds) ** len(names)
+    budget = data.draw(st.sampled_from([b for b in (4, 16) if b < total]))
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_BLOCK_ENTRIES", budget)
+        real = vector._first_by_elimination
+        mp.setattr(vector, "_first_by_elimination",
+                   lambda *args: ran.append(1) or real(*args))
+        got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+    assert ran
+    assert got == naive_first_countermodel(frame, names, premises, conclusion)
+
+
+# (names, premise variables, conclusion variables); a trailing name that no
+# statement mentions makes every block outgrow its gaps at budgets 4 and 16
+_LAYOUT_CASES = {
+    # premises of one size: the first counts as the largest, and the
+    # conclusion's buffer puts z, which that premise lacks, before y
+    "tie": (["x", "y", "z", "w"], [("x", "y"), ("x", "z")], ("y", "z")),
+    # a premise over three variables, all of them ranging at one world, where
+    # the conclusion's buffer cycles its axes: v, then y and z
+    "three": (["x", "y", "z", "v", "w"], [("x", "y", "z")], ("y", "z", "v")),
+    # a closed premise: a factor with no axes
+    "closed": (["x", "y", "z", "w"], [(), ("x", "y")], ("y", "z")),
+    # a conclusion with no axis of the largest premise
+    "disjoint": (["x", "y", "z", "w"], [("x", "y")], ("z",)),
+}
+_CLOSED = ["T = T", "<>T = T", "[]F = F", "<>T <= []F"]
+
+
+@pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_elimination_layouts_match_oracle(case, data):
+    # the factors' buffer layouts, and the slices that hold earlier axes in
+    # them, against the naive scan
+    names, premise_vars, conclusion_vars = _LAYOUT_CASES[case]
+    frame = data.draw(frames(max_worlds=2))
+    store = TermStore()
+    def stmt(variables):  # mentions every one of the variables
+        if not variables:
+            return parse_statement(data.draw(st.sampled_from(_CLOSED)), store)
+        lhs = build_term(data.draw(term_plans(variables, max_depth=2)), store)
+        for name in variables:
+            lhs = data.draw(st.sampled_from([store.or_, store.and_]))(store.var(name), lhs)
+        rhs = build_term(data.draw(term_plans(variables, max_depth=2)), store)
+        return data.draw(st.sampled_from([eq, leq]))(lhs, rhs)
+    premises = [stmt(v) for v in premise_vars]
+    conclusion = stmt(conclusion_vars)
     total = (1 << frame.worlds) ** len(names)
     budget = data.draw(st.sampled_from([b for b in (4, 16) if b < total]))
     ran = []
