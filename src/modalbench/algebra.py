@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InputError
-from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, check_count, int_ops
+from .errors import CapExceededError, InputError, check_count
+from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, int_ops
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)

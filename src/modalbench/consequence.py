@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DEFAULT_BIT_CAP
-from .errors import CapExceededError
-from .kripke import Frame, Valuation, check_count
+from .errors import CapExceededError, check_count
+from .kripke import Frame, Valuation
 from .terms import (Statement, Term, eq, free_vars, iterate, leq,
                     statement_vars, substitute)
 from .vector import SpaceEvaluator, decode_index, first_countermodel

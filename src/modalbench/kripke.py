@@ -4,22 +4,22 @@ World sets are plain ints used as bitsets (bit w set means world w is in the
 set), which keeps every Boolean connective a single machine operation and
 makes evaluation results cheap to memoize and compare.
 
-evaluate_nodes is the only place where the connectives get their meaning: the
+run is the only place where the connectives get their meaning: the
 operations of the frame's complex algebra (Jonsson-Tarski), with box as the
-dual of diamond. It walks the term DAG without recursion and is generic in
-its backend, which supplies diamond and box. Model and Evaluator run it on
-ints, with each modality as a loop over the successor sets; the vectorized
-SpaceEvaluator in vector.py runs it on numpy arrays that hold one bitset per
-valuation in the narrowest unsigned word that holds the frame's worlds, with
-each modality as one byte-table read per byte of the world set, from tables
-built once per frame. The array backend also passes
-remaining-parent counts (parent_counts), so a node's array leaves the memo
-once its last parent is computed; the int backend keeps every node.
+dual of diamond. It runs a Program, terms or statements compiled once into
+a flat list of instructions, children first (a term keeps its own,
+program_of), and is generic in its backend, which supplies diamond and box.
+Each instruction marks the arguments it is the last to read, and run drops
+their values right after that read. Model and Evaluator run programs on
+ints, each modality a loop over the successor sets; the vectorized
+SpaceEvaluator in vector.py runs them on numpy arrays of one bitset per
+valuation, each modality one byte-table read per byte of the world set, and
+the drops keep its live arrays to the DAG's width.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
-through check_int, which refuses bools (JSON true and false) and floats, as
-does check_count, the rule for the drivers' caps, counts and bounds.
+through errors.check_int, which refuses bools (JSON true and false) and
+floats, as does errors.check_count, the rule for every cap, count and bound.
 A Frame's successor sets come as a tuple, and an int too long to print in
 decimal is named by its bit length in a refusal.
 """
@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import terms
-from .errors import CapExceededError, InputError, MissingVariableWarning
-from .terms import Statement, Term
+from .errors import (CapExceededError, InputError, MissingVariableWarning, check_int,
+                     shown)
+from .terms import AND, BOT, BOX, DIA, EQ, IMP, LEQ, NOT, OR, TOP, VAR, Statement, Term
 
 MAX_WORLDS = 64
 
@@ -71,27 +72,13 @@ class Frame:
                 for v in bits_to_worlds(self.succ[w])]
 
 
-def check_int(value: object, what: str) -> int:
-    """value, if its type is int (so no bool); what names it in the refusal."""
-    if type(value) is int:
-        return value
-    raise InputError(f"{what} must be an int, not {type(value).__name__}")
-
-
-def check_count(value: object, what: str) -> int:
-    """value, if it is a nonnegative int: a count, cap or bound named what."""
-    if check_int(value, what) < 0:
-        raise InputError(f"{what} must be nonnegative, got {_shown(value)}")
-    return value
-
-
 def check_world_count(worlds: int) -> int:
     """worlds, if it is a world count of a frame. Builders that allocate per
     world call it first, so a refused count costs nothing."""
     if check_int(worlds, "world count") < 0:
         raise InputError("world count must be nonnegative")
     if worlds > MAX_WORLDS:
-        raise CapExceededError(f"{_shown(worlds)} worlds exceeds the {MAX_WORLDS}-world cap")
+        raise CapExceededError(f"{shown(worlds)} worlds exceeds the {MAX_WORLDS}-world cap")
     return worlds
 
 
@@ -100,19 +87,8 @@ def check_world(w: int, worlds: int) -> int:
     only after this check, so no number can ask for a huge or negative shift."""
     if not 0 <= check_int(w, "world number") < worlds:
         span = f"0..{worlds - 1}" if worlds else "the empty frame"
-        raise InputError(f"world {_shown(w)} is outside {span}")
+        raise InputError(f"world {shown(w)} is outside {span}")
     return w
-
-
-def _shown(value: object) -> str:
-    """value in a refusal message: an int past 64 bits by its size, since
-    decimal conversion stops at 4300 digits, anything else by repr."""
-    if type(value) is int and value.bit_length() > 64:
-        return f"<{value.bit_length()}-bit int>"
-    try:
-        return repr(value)
-    except ValueError:  # a container holding an int past the digit limit
-        return f"<{type(value).__name__}>"
 
 
 def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]]) -> Frame:
@@ -124,7 +100,7 @@ def frame_from_edges(worlds: int, edges: Iterable[tuple[int, int]]) -> Frame:
     succ = [0] * worlds
     for edge in edges:
         if not (isinstance(edge, (tuple, list)) and len(edge) == 2):
-            raise InputError(f"edge {_shown(edge)} is not a pair of worlds")
+            raise InputError(f"edge {shown(edge)} is not a pair of worlds")
         succ[check_world(edge[0], worlds)] |= 1 << check_world(edge[1], worlds)
     return Frame(worlds, tuple(succ))
 
@@ -231,9 +207,9 @@ def valuation_from_json(data: object) -> Valuation:
 
 
 class Model:
-    """A frame plus a valuation, with a per-model evaluation cache keyed by
-    term identity. The cache never needs invalidation because both halves
-    are immutable."""
+    """A frame plus a valuation, with a memo of root values keyed by term
+    identity: evaluate answers a term again without running its program.
+    The memo never needs invalidation because both halves are immutable."""
 
     __slots__ = ("frame", "valuation", "ops", "_memo", "_warned")
 
@@ -255,10 +231,10 @@ class Model:
 
 
 def int_ops(frame: Frame) -> tuple:
-    """The int backend of evaluate_nodes: zero, mask, diamond and box on
-    Python ints. Both loop over the successor sets: w is in dia(a) when a
-    meets its successors, and in box(a) when they miss the worlds outside a.
-    One evaluation on one valuation is too little work to pay for the byte
+    """The int backend of run: zero, mask, diamond and box on Python ints.
+    Both loop over the successor sets: w is in dia(a) when a meets its
+    successors, and in box(a) when they miss the worlds outside a. One
+    evaluation on one valuation is too little work to pay for the byte
     tables of the array backend."""
     mask = frame.mask
     pairs = tuple((s, 1 << w) for w, s in enumerate(frame.succ))
@@ -281,111 +257,134 @@ def int_ops(frame: Frame) -> tuple:
     return 0, mask, dia, box
 
 
-def evaluate_nodes(ops: tuple, roots: Sequence[Term], memo: dict, leaf: Callable,
-                   parents: dict | None = None) -> list:
-    """Values of the root terms in the complex algebra of a frame.
+_KINDS = {kind: kind for kind in (VAR, TOP, BOT, NOT, AND, OR, IMP, DIA, BOX, EQ, LEQ)}
 
-    Every node below the roots that memo (term -> value) lacks is computed
-    children first with an explicit stack, so term depth is not limited by
-    recursion. ops = (zero, mask, dia, box) is the backend: zero and mask are
-    the empty and the full world set, dia maps a value to the worlds with a
-    successor in it, and box to the worlds whose successors all lie in it,
-    which is mask ^ dia(mask ^ value), computed in one step. The Boolean
-    connectives are the same operators on every backend: ints for the scalar
-    evaluators (int_ops), numpy arrays of the frame's word dtype for the
-    vectorized one (vector._array_ops). leaf(name) gives a variable's value.
-    Terms key the memo by identity, so terms of several stores share one
-    memo without colliding.
 
-    parents, if given, holds remaining-parent counts (parent_counts): each
-    computed node takes one from the count of each of its arguments, and an
-    argument whose count reaches zero leaves the memo, so a memo of arrays
-    holds the DAG's width, not its size. The roots lose their counts and
-    stay, as do nodes without one. A node dropped and then needed by a
-    parent outside the counts is computed again, so any statement gets the
-    right value under any counts."""
-    zero, mask, dia, box = ops
-    if parents:
+class Program:
+    """A term, or a list of terms and statements, compiled once for run.
+
+    The program lists the nodes below its roots, each once and children
+    first, numbered by position; a statement is its two sides and one gap
+    instruction of kind EQ or LEQ. columns holds five tuples, one entry per
+    instruction: its kind, the positions a and b of its arguments (a is a
+    variable's name, and unused slots are None), and drop_a and drop_b,
+    which mark an argument that this instruction is the last to read. roots
+    holds each root's position; roots are never dropped. A program holds no
+    term and no value."""
+
+    __slots__ = ("columns", "roots")
+
+    def __init__(self, roots: Sequence[Term | Statement]):
+        position: dict[Term, int] = {}
+        rows: list[tuple] = []  # (kind, a, b) per instruction
+        tops = []
         for root in roots:
-            parents.pop(root, None)
-    stack = list(roots)
+            if isinstance(root, Statement):
+                sides = [_emit(side, position, rows) for side in (root.lhs, root.rhs)]
+                rows.append((_KINDS[root.kind], *sides))
+                tops.append(len(rows) - 1)
+            else:
+                tops.append(_emit(root, position, rows))
+        drops = []
+        read = set(tops)  # walking backwards: what is read later on
+        for _, a, b in reversed(rows):
+            drop_b = type(b) is int and b not in read
+            read.add(b)
+            drops.append((type(a) is int and a not in read, drop_b))
+            read.add(a)
+        self.columns = (*zip(*rows), *zip(*reversed(drops)))
+        self.roots = tuple(tops)
+
+
+def _emit(term: Term, position: dict, rows: list) -> int:
+    """Append the nodes below term that position lacks, children first,
+    without recursion; term's position."""
+    stack = [term]
     while stack:
         t = stack[-1]
-        if t in memo:
+        if t in position:
             stack.pop()
             continue
-        waiting = [a for a in t.args if a not in memo]
-        if waiting:
-            stack += waiting
-            continue
-        stack.pop()
-        kind = t.kind
-        if kind == terms.VAR:
-            out = leaf(t.name)
-        elif kind == terms.TOP:
-            out = zero | mask
-        elif kind == terms.BOT:
-            out = zero
+        for x in reversed(t.args):  # the last argument first
+            if x not in position:
+                stack.append(x)
+                break
         else:
-            a = memo[t.args[0]]
-            if kind == terms.NOT:
-                out = mask ^ a
-            elif kind == terms.AND:
-                out = a & memo[t.args[1]]
-            elif kind == terms.OR:
-                out = a | memo[t.args[1]]
-            elif kind == terms.IMP:
-                out = (mask ^ a) | memo[t.args[1]]
-            elif kind == terms.DIA:
-                out = dia(a)
-            else:  # box
-                out = box(a)
-        memo[t] = out
-        if parents:
-            for a in t.args:
-                left = parents.get(a)
-                if left is not None:
-                    if left == 1:
-                        del parents[a], memo[a]
-                    else:
-                        parents[a] = left - 1
-    return [memo[root] for root in roots]
+            stack.pop()
+            position[t] = len(rows)
+            args = t.args
+            rows.append((_KINDS[t.kind], position[args[0]] if args else t.name,
+                         position[args[1]] if len(args) == 2 else None))
+    return position[term]
 
 
-def parent_counts(statements: Iterable[Statement]) -> dict[Term, int]:
-    """The parents argument of evaluate_nodes for evaluating the statements
-    together: for each node below them that has arguments and is no side of
-    any statement, the number of argument slots it fills in the distinct
-    nodes above it. Leaves and sides get no count, so they are never dropped."""
-    sides = {side: None for stmt in statements for side in (stmt.lhs, stmt.rhs)}
-    counts: dict[Term, int] = {}
-    stack = list(sides)  # each node is expanded once: a side here, others when first counted
-    while stack:
-        for a in stack.pop().args:
-            if a.args and a not in sides:
-                n = counts.get(a, 0)
-                counts[a] = n + 1
-                if not n:
-                    stack.append(a)
-    return counts
+def program_of(term: Term) -> Program:
+    """The term's program, compiled on first use and kept on the term."""
+    if term._program is None:
+        term._program = Program((term,))
+    return term._program
 
 
-def evaluate_gap(ops: tuple, stmt: Statement, memo: dict, leaf: Callable,
-                 parents: dict | None = None):
-    """Worlds where the statement fails: where the sides differ for an
-    equation, where lhs holds without rhs for an inequation. memo and
-    parents are evaluate_nodes'."""
-    lhs, rhs = evaluate_nodes(ops, (stmt.lhs, stmt.rhs), memo, leaf, parents)
-    if stmt.kind == terms.EQ:
-        return lhs ^ rhs
-    return lhs & (ops[1] ^ rhs)
+def run(program: Program, ops: tuple, leaf: Callable, values: list | None = None,
+        stop: int | None = None) -> list:
+    """Run the program's instructions from len(values) up to stop (default:
+    to the end), appending each value to values, which it returns; an
+    argument's value becomes None right after its last read.
+
+    This loop is the only place where the connectives get their meaning, in
+    the complex algebra of a frame. ops = (zero, mask, dia, box) is the
+    backend: zero and mask are the empty and the full world set, dia maps a
+    value to the worlds with a successor in it, and box to the worlds whose
+    successors all lie in it. The Boolean connectives are the same operators
+    on every backend: ints for the scalar evaluators (int_ops), numpy arrays
+    of the frame's word dtype for the vectorized one (vector._array_ops).
+    leaf(name) gives a variable's value. A statement's gap is the worlds
+    where it fails: where the sides differ for an equation, where lhs holds
+    without rhs for an inequation."""
+    zero, mask, dia, box = ops
+    values = [] if values is None else values
+    append = values.append
+    columns = program.columns
+    if values or stop is not None:
+        columns = [column[len(values):stop] for column in columns]
+    for kind, a, b, drop_a, drop_b in zip(*columns):
+        if kind is VAR:
+            out = leaf(a)
+        elif kind is OR:
+            out = values[a] | values[b]
+        elif kind is BOX:
+            out = box(values[a])
+        elif kind is AND:
+            out = values[a] & values[b]
+        elif kind is DIA:
+            out = dia(values[a])
+        elif kind is NOT:
+            out = mask ^ values[a]
+        elif kind is IMP:
+            out = (mask ^ values[a]) | values[b]
+        elif kind is EQ:
+            out = values[a] ^ values[b]
+        elif kind is LEQ:
+            out = values[a] & (mask ^ values[b])
+        elif kind is TOP:
+            out = zero | mask
+        else:  # bottom
+            out = zero
+        append(out)
+        if drop_a:
+            values[a] = None
+        if drop_b:
+            values[b] = None
+    return values
 
 
 def evaluate(model: Model, term: Term) -> int:
     """Bitset of worlds where the term holds. Box is universal over successors,
     so it holds vacuously at worlds with none; variables missing from the
     valuation evaluate to the empty set, with a one-shot warning each."""
-    return evaluate_nodes(model.ops, (term,), model._memo, model._leaf)[0]
+    if term not in model._memo:  # a model runs a term once: the term keeps no program
+        model._memo[term] = run(Program((term,)), model.ops, model._leaf)[-1]
+    return model._memo[term]
 
 
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
@@ -406,14 +405,14 @@ def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int)
 def holds_globally(model: Model, stmt: Statement) -> bool:
     """Truth of a statement at every world: equality of the two bitsets for
     equations, bitset inclusion for inequations."""
-    return evaluate_gap(model.ops, stmt, model._memo, model._leaf) == 0
+    return run(Program((stmt,)), model.ops, model._leaf)[-1] == 0
 
 
 class Evaluator:
-    """Evaluation on one frame under many assignments, each call with a fresh
-    memo. Assignments are plain dicts of world sets of the frame; absent
-    variables mean empty, silently, since enumeration callers control the
-    variable set."""
+    """Evaluation on one frame under many assignments, each call a fresh run
+    of the term's program. Assignments are plain dicts of world sets of the
+    frame; absent variables mean empty, silently, since enumeration callers
+    control the variable set."""
 
     __slots__ = ("frame", "ops")
 
@@ -422,11 +421,11 @@ class Evaluator:
         self.ops = int_ops(frame)
 
     def evaluate(self, term: Term, assignment: Mapping[str, int]) -> int:
-        return evaluate_nodes(self.ops, (term,), {}, self._leaf_of(assignment))[0]
+        return run(program_of(term), self.ops, self._leaf_of(assignment))[-1]
 
     def statement_gap(self, stmt: Statement, assignment: Mapping[str, int]) -> int:
         """Bitset of worlds where the statement fails under the assignment."""
-        return evaluate_gap(self.ops, stmt, {}, self._leaf_of(assignment))
+        return run(Program((stmt,)), self.ops, self._leaf_of(assignment))[-1]
 
     def _leaf_of(self, assignment: Mapping[str, int]) -> Callable:
         # the name is the label: formatting one per read cost more than the check

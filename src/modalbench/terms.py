@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import re
 import threading
+import weakref
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, check_count
 
 VAR_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -39,7 +40,7 @@ class Term:
     equal terms of the same store. The object is the node's only identity:
     tables and memos key on it, hashed by identity."""
 
-    __slots__ = ("kind", "name", "args", "store", "_free", "_tree")
+    __slots__ = ("kind", "name", "args", "store", "_free", "_tree", "_program", "__weakref__")
 
     def __init__(self, kind: str, name: str | None, args: tuple[Term, ...],
                  store: "TermStore"):
@@ -49,6 +50,7 @@ class Term:
         self.store = store
         self._free: frozenset[str] | None = None
         self._tree: int | None = None
+        self._program = None  # kripke.program_of's compiled program
 
     def __repr__(self) -> str:
         from .syntax import format_term  # deferred, syntax imports this module
@@ -66,10 +68,11 @@ class TermStore:
     """Interning table for terms. Identity comparisons are only meaningful
     between terms of the same store; building a term from children of two
     stores raises InputError. Statements, consequence problems and evaluation
-    accept terms of any store."""
+    accept terms of any store. The table holds its terms weakly, so terms and
+    store make no cycle: a store nothing uses is freed without the collector."""
 
     def __init__(self) -> None:
-        self._table: dict[tuple, Term] = {}
+        self._table: weakref.WeakValueDictionary[tuple, Term] = weakref.WeakValueDictionary()
         self._lock = threading.Lock()
 
     def make(self, kind: str, args: tuple[Term, ...] = (), name: str | None = None) -> Term:
@@ -191,8 +194,7 @@ def iterate(term: Term, pivot: str, k: int) -> Term:
     """k-fold self-composition in the pivot: step 0 is the pivot variable
     itself, step k+1 substitutes step k for the pivot in the term. Shares
     structure through the store, so DAG growth per step is constant."""
-    if k < 0:
-        raise InputError("iteration count must be nonnegative")
+    check_count(k, "iteration count")
     current = term.store.var(pivot)
     if pivot not in free_vars(term):
         warnings.warn(f"pivot {pivot!r} does not occur in the term; iteration is constant",
@@ -255,8 +257,7 @@ def diamond_term(store: TermStore) -> Term:
 def s_term(m: int, store: TermStore) -> Term:
     """The pivot-free approximant: step 0 is bottom, step m+1 wraps step m in
     box(y or box(z or .)). Lies below the m-th iterate of the chain step."""
-    if m < 0:
-        raise InputError("approximant index must be nonnegative")
+    check_count(m, "approximant index")
     out = store.bot()
     for _ in range(m):
         out = s_step(out)
@@ -271,8 +272,7 @@ def s_step(prev: Term) -> Term:
 
 def boxdot_power(n: int, store: TermStore) -> Term:
     """n applications of the reflexive box u -> u and box(u) to the variable x."""
-    if n < 0:
-        raise InputError("power must be nonnegative")
+    check_count(n, "power")
     out = store.var("x")
     for _ in range(n):
         out = store.and_(out, store.box(out))

@@ -9,14 +9,14 @@ handful of vectorized operations. Scans read the space in C order, first
 variable most significant, which makes "the first countermodel" a single
 well-defined index shared with the scalar scan order.
 
-The evaluation itself is kripke.evaluate_nodes, the loop the scalar
-evaluators run on ints. This module supplies only its array backend,
-_array_ops, and the variable axes. A world set is stored in the narrowest
-unsigned word that holds the frame's worlds (word_dtype: one byte per entry
-up to 8 worlds, eight above 32), and diamond and box are computed by table
-lookup in the four-Russians style: with D_b[v] the worlds that have a
-successor in the world set v << 8b, dia(S) = OR_b D_b[byte b of S], and with
-B_b[v] the worlds that have none among byte b's worlds outside v,
+The evaluation itself is kripke.run, the loop over a compiled kripke.Program
+that the scalar evaluators run on ints. This module supplies only its array
+backend, _array_ops, and the variable axes. A world set is stored in the
+narrowest unsigned word that holds the frame's worlds (word_dtype: one byte
+per entry up to 8 worlds, eight above 32), and diamond and box are computed
+by table lookup in the four-Russians style: with D_b[v] the worlds that have
+a successor in the world set v << 8b, dia(S) = OR_b D_b[byte b of S], and
+with B_b[v] the worlds that have none among byte b's worlds outside v,
 box(S) = AND_b B_b[byte b of S], one read per byte of the word. The tables
 hold 256 words each; they are built once per frame and kept for the last
 _TABLE_FRAMES frames (_tables). A read goes through ndarray.take, about
@@ -26,27 +26,26 @@ copies its whole index to intp first.
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
 intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
-statement is evaluated through SpaceEvaluator.gap on the block, which shares
-node arrays between the block's statements and starts afresh on the next
-block. The scan counts each node's parents among all its statements once
-(kripke.parent_counts), and each block starts from a copy of the counts: a
-node array is dropped as soon as its last parent is computed, so the arrays
-live at once are the DAG's width, not its size, while the statement sides
-and variable leaves stay for the block. A node shared by the conclusion and
-a premise is computed once per block, even when the premise is drawn late.
-Sampled validity drops node arrays the same way in each batch. A lone
-statement's first failure is read off its own gap, at any block size.
-Premises are combined with the conclusion in one mask of the block's shape
-when the block fits the budget; a larger block, which arises
-only when a statement omits a variable the block ranges over, is searched by
-variable elimination without an array of its shape. Its factors are 0/1
-float32 arrays, each written once from its gap; the conclusion's axes are
-ordered for its contraction with the largest premise (those the premise
-lacks, then the shared ones in the premise's order), so the matrix products
-inside einsum read both factors in place. A single statement over
-every variable (most validity checks) gains nothing from this: its gap is
-the product. Sampled validity reads its seeded rows the same way, laid
-along one axis.
+statement is evaluated through SpaceEvaluator.gap on the block. The scan
+compiles all its statements into one program once (SpaceEvaluator.plan), and
+each block runs a statement's part of it when that statement's gap is drawn,
+so node arrays are shared between the block's statements, and a node shared
+by the conclusion and a premise is computed once per block, even when the
+premise is drawn late. The program marks each node's last read, and the run
+drops the node's array right after it, so the arrays live at once are the
+DAG's width, not its size. Sampled validity runs its statement's program the
+same way on each batch. A lone statement's first failure is read off its own
+gap, at any block size. Premises are combined with the conclusion in one
+mask of the block's shape when the block fits the budget; a larger block,
+which arises only when a statement omits a variable the block ranges over,
+is searched by variable elimination without an array of its shape. Its
+factors are 0/1 float32 arrays, each written once from its gap; the
+conclusion's axes are ordered for its contraction with the largest premise
+(those the premise lacks, then the shared ones in the premise's order), so
+the matrix products inside einsum read both factors in place. A single
+statement over every variable (most validity checks) gains nothing from
+this: its gap is the product. Sampled validity reads its seeded rows the
+same way, laid along one axis.
 
 numpy is imported on first array use, in the functions that build or read
 arrays, so importing this module (and modalbench) does not load it, and
@@ -60,7 +59,7 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .kripke import Frame, evaluate_gap, evaluate_nodes, parent_counts
+from .kripke import Frame, Program, program_of, run
 from .terms import Statement, Term, statement_vars
 
 if TYPE_CHECKING:
@@ -79,15 +78,13 @@ class SpaceEvaluator:
     Results are arrays of world bitsets in the frame's word dtype
     (word_dtype); axis i enumerates the bitsets of names[i] in the block's
     [lo, hi) range, in increasing numeric order.
-    Variables mentioned nowhere in `names` evaluate to the empty set. Node
-    arrays are memoized by identity for the current block, so statements
-    sharing subterms share their arrays; entering another block starts an
-    empty memo. After plan(statements), each block also starts from a copy
-    of those statements' remaining-parent counts, and a node array leaves
-    the memo once its last parent among them is computed: the memo holds
-    the statement sides, the variable leaves and the nodes still awaited,
-    which is the DAG's width, not its size. Any term or statement, planned
-    or not, still gets its right value."""
+    Variables mentioned nowhere in `names` evaluate to the empty set. After
+    plan(statements), the statements' one program runs on each block as far
+    as the statements drawn so far need, so statements sharing subterms
+    share their arrays, and each node array is dropped right after its last
+    read: the arrays alive at once are the DAG's width, not its size.
+    Entering another block starts the run afresh. Any other term or
+    statement runs its own program, so it still gets its right value."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
@@ -96,33 +93,38 @@ class SpaceEvaluator:
         self.ops = _array_ops(frame, len(self.names))
         self._axis = {name: i for i, name in enumerate(self.names)}
         self._block = self._whole = ((0, self.size),) * len(self.names)
-        self._memo: dict[Term, np.ndarray] = {}
-        self._parents: dict[Term, int] = {}  # the plan's counts
-        self._left: dict[Term, int] = {}  # the current block's copy of them
+        self._plan: Program | None = None
+        self._gaps: dict[Statement, int] = {}  # planned statement -> its first gap position
+        self._values: list = []  # the plan's values on the current block
 
     def plan(self, statements: list[Statement]) -> None:
-        """Count parents for a scan that evaluates these statements on each
-        block, and start the next block afresh. A node shared by several of
+        """Compile the statements that a scan evaluates on each block into one
+        program, and start the next block afresh. A node shared by several of
         them is computed once per block, whichever of them are evaluated."""
-        self._parents = parent_counts(statements)
+        self._plan = Program(statements)
+        self._gaps = dict(zip(reversed(statements), reversed(self._plan.roots)))
         self._block = None
 
     def evaluate(self, term: Term) -> np.ndarray:
         """The term's array over the whole space."""
         self._enter(self._whole)
-        return evaluate_nodes(self.ops, (term,), self._memo, self._leaf, self._left)[0]
+        return run(program_of(term), self.ops, self._leaf)[-1]
 
     def gap(self, stmt: Statement, block: tuple | None = None) -> np.ndarray:
         """Bitset array of worlds where the statement fails, per assignment of
         the block (one [lo, hi) range per name; None is the whole space)."""
         self._enter(block or self._whole)
-        return evaluate_gap(self.ops, stmt, self._memo, self._leaf, self._left)
+        at = self._gaps.get(stmt)
+        if at is None:
+            return run(Program((stmt,)), self.ops, self._leaf)[-1]
+        if len(self._values) <= at:
+            run(self._plan, self.ops, self._leaf, self._values, at + 1)
+        return self._values[at]
 
     def _enter(self, block: tuple) -> None:
         if block != self._block:
             self._block = block
-            self._memo = {}
-            self._left = dict(self._parents)
+            self._values = []
 
     def _leaf(self, name: str) -> np.ndarray:
         import numpy as np
@@ -147,7 +149,7 @@ def word_dtype(worlds: int) -> np.dtype:
 
 
 def _array_ops(frame: Frame, rank: int) -> tuple:
-    """The array backend of evaluate_nodes: a zero array of the given rank
+    """The array backend of kripke.run: a zero array of the given rank
     with every axis of length 1 and the mask, both in the frame's word dtype,
     then diamond and box, each one read of the frame's byte tables (_tables)
     per byte of the word: the OR of the diamond tables' words, the AND of
@@ -369,13 +371,13 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
 
     ops = _array_ops(frame, 1)
     zero = ops[0]
-    parents = parent_counts([stmt])
+    program = Program((stmt,))
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
         table = np.fromiter(values, dtype=zero.dtype, count=rows * len(names))
         table = table.reshape(rows, len(names))
         columns = dict(zip(names, table.T))
-        gap = evaluate_gap(ops, stmt, {}, lambda name: columns.get(name, zero), dict(parents))
+        gap = run(program, ops, lambda name: columns.get(name, zero))[-1]
         hit = _first_in_block((rows,), gap, ())
         if hit is not None:
             return done + hit[0], tuple(int(v) for v in table[hit[0]])

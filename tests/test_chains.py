@@ -102,6 +102,14 @@ def test_path_search_agrees_with_approximant_failure(data, m):
     assert falsifying_path_starts(frame, valuation, m) == fails
 
 
+@pytest.mark.parametrize("bad, kind", [(1.5, "float"), ("3", "str"), (True, "bool")])
+def test_path_starts_refuse_a_length_that_is_no_int(bad, kind):
+    # a raw TypeError for 1.5 and "3", and True answered as 1, before
+    frame, valuation = make_chain(3), lemma_valuation(1)
+    with pytest.raises(InputError, match=f"^path length parameter must be an int, not {kind}$"):
+        falsifying_path_starts(frame, valuation, bad)
+
+
 def test_make_chain_respects_the_world_cap():
     assert make_chain(64).worlds == 64
     with pytest.raises(CapExceededError):
@@ -121,6 +129,9 @@ def test_certificate_builds_each_approximant_once(monkeypatch):
         monkeypatch.setattr(chains, "_LEMMA_STORE", CountingStore())
         assert check_lemma(n).valid
         assert CountingStore.calls <= 8 * (n + 3)
+        CountingStore.calls = 0
+        assert check_lemma(n, [0]).valid and check_lemma(n).valid
+        assert CountingStore.calls == 0  # built once per process, and kept
 
 
 def test_the_lemma_store_is_bounded_by_the_world_cap(monkeypatch):

@@ -11,9 +11,10 @@ from hypothesis import given, strategies as st
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
 from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
                                bits_to_worlds, check_world, check_world_count,
-                               evaluate, evaluate_nodes, evaluate_orbit, frame_from_edges,
+                               evaluate, evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
-                               int_ops, load_frame, valuation_from_json, worlds_to_bits)
+                               int_ops, load_frame, program_of, run,
+                               valuation_from_json, worlds_to_bits)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
 from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, leq
@@ -315,5 +316,5 @@ def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
     per_assignment = Evaluator(frame).evaluate(t, assignment)
     # the vectorized backend at one assignment: rank-0 arrays, no variable axes
     ev = SpaceEvaluator(frame, [])
-    vector = evaluate_nodes(ev.ops, (t,), {}, lambda name: np.uint64(assignment[name]))[0]
+    vector = run(program_of(t), ev.ops, lambda name: np.uint64(assignment[name]))[-1]
     assert scalar == per_assignment == int(vector) == frame.mask

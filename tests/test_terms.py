@@ -1,9 +1,13 @@
 """Term store interning, substitution, iteration, and the named families."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
 from modalbench.errors import InputError
+from modalbench.syntax import parse_formula
 from modalbench.terms import (Statement, TermStore, boxdot_power, chain_term,
                               diamond_term, eq, free_vars, iterate,
                               leq, node_count, s_term,
@@ -126,6 +130,43 @@ def test_family_argument_validation(store):
         boxdot_power(-2, store)
     with pytest.raises(InputError):
         iterate(chain_term(store), "x", -1)
+
+
+# Each count is read through errors.check_count. Before, a float raised a raw
+# TypeError, a string "'<' not supported", and True was taken as 1.
+BAD_COUNTS = [(2.5, "float"), ("3", "str"), (True, "bool")]
+
+
+@pytest.mark.parametrize("bad, kind", BAD_COUNTS)
+def test_iterate_refuses_a_count_that_is_no_int(store, bad, kind):
+    with pytest.raises(InputError, match=f"^iteration count must be an int, not {kind}$"):
+        iterate(chain_term(store), "x", bad)
+
+
+@pytest.mark.parametrize("bad, kind", BAD_COUNTS)
+def test_s_term_refuses_an_index_that_is_no_int(store, bad, kind):
+    with pytest.raises(InputError, match=f"^approximant index must be an int, not {kind}$"):
+        s_term(bad, store)
+
+
+@pytest.mark.parametrize("bad, kind", BAD_COUNTS)
+def test_boxdot_power_refuses_a_power_that_is_no_int(store, bad, kind):
+    with pytest.raises(InputError, match=f"^power must be an int, not {kind}$"):
+        boxdot_power(bad, store)
+
+
+def test_a_store_nothing_uses_is_freed_without_the_collector():
+    # the table held its terms and each term its store, a cycle that kept a
+    # parsed tpow(k) until the cyclic collector ran
+    gc.disable()
+    try:
+        t = parse_formula("tpow(20)", TermStore())
+        store = weakref.ref(t.store)
+        assert iterate(t, "x", 1).store is store()
+        del t
+        assert store() is None
+    finally:
+        gc.enable()
 
 
 def test_statement_construction(store):
