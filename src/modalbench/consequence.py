@@ -88,8 +88,9 @@ def check_consequence(problem: ConsequenceProblem) -> ConsequenceResult:
 
     premises = list(problem.premises)
     covered = 0
+    space = None
     for index, frame in enumerate(problem.frames):
-        space = SpaceEvaluator(frame, variables)
+        space = SpaceEvaluator(frame, variables) if space is None else space.on(frame)
         hit = first_countermodel(space, premises, problem.conclusion)
         if hit is None:
             covered += 1 << (len(variables) * frame.worlds)

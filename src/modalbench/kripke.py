@@ -12,9 +12,9 @@ program_of), and is generic in its backend, which supplies diamond and box.
 Each instruction marks the arguments it is the last to read, and run drops
 their values right after that read. Model and Evaluator run programs on
 ints, each modality a loop over the successor sets; the vectorized
-SpaceEvaluator in vector.py runs them on numpy arrays of one bitset per
-valuation, each modality one byte-table read per byte of the world set, and
-the drops keep its live arrays to the DAG's width.
+SpaceEvaluator in vector.py runs them on bit planes, one per world with a
+bit per valuation, each modality one reduction per world over its
+successors' planes, and the drops keep its live arrays to the DAG's width.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
@@ -233,9 +233,7 @@ class Model:
 def int_ops(frame: Frame) -> tuple:
     """The int backend of run: zero, mask, diamond and box on Python ints.
     Both loop over the successor sets: w is in dia(a) when a meets its
-    successors, and in box(a) when they miss the worlds outside a. One
-    evaluation on one valuation is too little work to pay for the byte
-    tables of the array backend."""
+    successors, and in box(a) when they miss the worlds outside a."""
     mask = frame.mask
     pairs = tuple((s, 1 << w) for w, s in enumerate(frame.succ))
 
@@ -336,8 +334,8 @@ def run(program: Program, ops: tuple, leaf: Callable, values: list | None = None
     backend: zero and mask are the empty and the full world set, dia maps a
     value to the worlds with a successor in it, and box to the worlds whose
     successors all lie in it. The Boolean connectives are the same operators
-    on every backend: ints for the scalar evaluators (int_ops), numpy arrays
-    of the frame's word dtype for the vectorized one (vector._array_ops).
+    on every backend: ints for the scalar evaluators (int_ops), uint64 bit
+    planes for the vectorized one (vector._plane_ops).
     leaf(name) gives a variable's value. A statement's gap is the worlds
     where it fails: where the sides differ for an equation, where lhs holds
     without rhs for an inequation."""

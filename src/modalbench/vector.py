@@ -2,50 +2,43 @@
 countermodel search.
 
 A SpaceEvaluator fixes a frame and an ordered variable list and evaluates
-each term node as a numpy array of world bitsets, one axis per variable
-(length 1 where the variable does not occur), so node results broadcast
-against each other and a term is evaluated over the full product space in a
-handful of vectorized operations. Scans read the space in C order, first
-variable most significant, which makes "the first countermodel" a single
-well-defined index shared with the scalar scan order.
+each term node over a block of the valuation space at once, in bit planes
+(bit slicing: E. Biham, "A Fast New DES Implementation in Software", FSE
+1997). A value is a uint64 array of shape (worlds, d_0, ..., d_{k-2}, words)
+with one plane per world, in which a set bit is an assignment under which
+the world is in the node's set. The block's last variable is packed 64
+assignments to a word, lowest value in the lowest bit; every other variable
+keeps an axis of its own, of length 1 where the node does not depend on it,
+so values broadcast against each other and a node costs what its own
+variables span. Scans read the space in C order, first variable most
+significant, which makes "the first countermodel" a single well-defined
+index shared with the scalar scan order.
 
-The evaluation itself is kripke.run, the loop over a compiled kripke.Program
-that the scalar evaluators run on ints. This module supplies only its array
-backend, _array_ops, and the variable axes. A world set is stored in the
-narrowest unsigned word that holds the frame's worlds (word_dtype: one byte
-per entry up to 8 worlds, eight above 32), and diamond and box are computed
-by table lookup in the four-Russians style: with D_b[v] the worlds that have
-a successor in the world set v << 8b, dia(S) = OR_b D_b[byte b of S], and
-with B_b[v] the worlds that have none among byte b's worlds outside v,
-box(S) = AND_b B_b[byte b of S], one read per byte of the word. The tables
-hold 256 words each; they are built once per frame and kept for the last
-_TABLE_FRAMES frames (_tables). A read goes through ndarray.take, about
-twice as fast here as fancy indexing, in runs of _TAKE entries, since take
-copies its whole index to intp first.
+The evaluation itself is kripke.run, the loop that the scalar evaluators run
+on ints; this module supplies its plane backend (_plane_ops) and the leaves.
+The connectives are word operations, and diamond and box at world w are the
+OR and the AND of the planes of w's successors. Where the packed variable
+has fewer than 64 values in a block, the high bits of its words are junk
+(negation sets them), and the readers of a gap clear them.
 
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
-intermediate of the search, has at most _BLOCK_ENTRIES entries. Every
-statement is evaluated through SpaceEvaluator.gap on the block. The scan
-compiles all its statements into one program once (SpaceEvaluator.plan), and
-each block runs a statement's part of it when that statement's gap is drawn,
-so node arrays are shared between the block's statements, and a node shared
-by the conclusion and a premise is computed once per block, even when the
-premise is drawn late. The program marks each node's last read, and the run
-drops the node's array right after it, so the arrays live at once are the
-DAG's width, not its size. Sampled validity runs its statement's program the
-same way on each batch. A lone statement's first failure is read off its own
-gap, at any block size. Premises are combined with the conclusion in one
-mask of the block's shape when the block fits the budget; a larger block,
+intermediate of the search, has at most _BLOCK_ENTRIES entries. The scan
+compiles its statements into one program once (SpaceEvaluator.plan, kept
+across frames by SpaceEvaluator.on), and each block runs a statement's part
+of it when its gap is drawn, so a node shared by the conclusion and a
+premise is computed once per block. The run drops each node's array right
+after its last read, so the arrays live at once are the DAG's width, not
+its size. A gap is read through the OR of its planes (_fails): the lowest
+set bit of the conclusion's, with each premise's cleared from it word by
+word, is the block's first countermodel. A premise block past the budget,
 which arises only when a statement omits a variable the block ranges over,
-is searched by variable elimination without an array of its shape. Its
-factors are 0/1 float32 arrays, each written once from its gap; the
-conclusion's axes are ordered for its contraction with the largest premise
-(those the premise lacks, then the shared ones in the premise's order), so
-the matrix products inside einsum read both factors in place. A single
-statement over every variable (most validity checks) gains nothing from
-this: its gap is the product. Sampled validity reads its seeded rows the
-same way, laid along one axis.
+is searched instead by variable elimination over 0/1 float32 factors, each
+written once from its statement's unpacked OR, on the axes of the variables
+the statement mentions; the conclusion's axes are ordered for its
+contraction with the largest premise, so the matrix products inside einsum
+read both factors in place. Sampled validity packs its seeded rows along one
+axis and reads them the same way.
 
 numpy is imported on first array use, in the functions that build or read
 arrays, so importing this module (and modalbench) does not load it, and
@@ -59,67 +52,82 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .kripke import Frame, Program, program_of, run
+from .kripke import Frame, Program, bits_to_worlds, program_of, run
 from .terms import Statement, Term, statement_vars
 
 if TYPE_CHECKING:
     import numpy as np
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
-_FIRST_BLOCK = 1 << 12  # a lone statement's first block, doubled up to the step
-_TAKE = 1 << 14  # the most entries a byte-table read indexes at once
-_TABLE_FRAMES = 128  # the frames whose byte tables are kept
+_FIRST_BLOCK = 1 << 15  # a lone statement's first block, doubled up to the step
+_LEAF_WORDS = 1 << 12  # leaves of at most this many words per axis value are kept
+# the first six worlds' planes in a word of 64 aligned values: bit t is bit w of t
+_PATTERNS = tuple(sum(1 << t for t in range(64) if t >> w & 1) for w in range(6))
 
 
 class SpaceEvaluator:
     """Vectorized term evaluation over all valuations of `names` on one frame,
     or over one block of them.
 
-    Results are arrays of world bitsets in the frame's word dtype
-    (word_dtype); axis i enumerates the bitsets of names[i] in the block's
-    [lo, hi) range, in increasing numeric order.
-    Variables mentioned nowhere in `names` evaluate to the empty set. After
-    plan(statements), the statements' one program runs on each block as far
-    as the statements drawn so far need, so statements sharing subterms
-    share their arrays, and each node array is dropped right after its last
-    read: the arrays alive at once are the DAG's width, not its size.
-    Entering another block starts the run afresh. Any other term or
-    statement runs its own program, so it still gets its right value."""
+    Results are bit planes (see the module docstring): axis 0 is the worlds,
+    axis 1 + i enumerates the bitsets of names[i] in the block's [lo, hi)
+    range in increasing order, and the last holds the last name's, 64 to a
+    word. Variables mentioned nowhere in `names` evaluate to the empty set.
+    After plan(statements), the statements' one program runs on each block
+    as far as the statements drawn so far need, so statements sharing
+    subterms share their arrays, and each node array is dropped right after
+    its last read. Entering another block starts the run afresh. Any other
+    term or statement runs its own program, so it still gets its right value."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
         self.names = list(names)
         self.size = 1 << frame.worlds
-        self.ops = _array_ops(frame, len(self.names))
+        self.ops = _plane_ops(frame, len(self.names))
         self._axis = {name: i for i, name in enumerate(self.names)}
         self._block = self._whole = ((0, self.size),) * len(self.names)
-        self._plan: Program | None = None
-        self._gaps: dict[Statement, int] = {}  # planned statement -> its first gap position
+        # the planned statements, their program, and each one's first gap position
+        self._plan: tuple = ((), None, {})
         self._values: list = []  # the plan's values on the current block
 
     def plan(self, statements: list[Statement]) -> None:
         """Compile the statements that a scan evaluates on each block into one
-        program, and start the next block afresh. A node shared by several of
-        them is computed once per block, whichever of them are evaluated."""
-        self._plan = Program(statements)
-        self._gaps = dict(zip(reversed(statements), reversed(self._plan.roots)))
+        program, unless they are the ones already planned, and start the next
+        block afresh. A node shared by several of them is computed once per
+        block, whichever of them are evaluated."""
+        if tuple(statements) != self._plan[0]:
+            program = Program(statements)
+            gaps = dict(zip(reversed(statements), reversed(program.roots)))
+            self._plan = (tuple(statements), program, gaps)
         self._block = None
 
+    def on(self, frame: Frame) -> SpaceEvaluator:
+        """An evaluator over the same names on another frame, with this one's
+        plan: a problem checked frame by frame compiles its statements once."""
+        other = SpaceEvaluator(frame, self.names)
+        other._plan = self._plan
+        return other
+
     def evaluate(self, term: Term) -> np.ndarray:
-        """The term's array over the whole space."""
+        """The term's planes over the whole space."""
         self._enter(self._whole)
         return run(program_of(term), self.ops, self._leaf)[-1]
 
     def gap(self, stmt: Statement, block: tuple | None = None) -> np.ndarray:
-        """Bitset array of worlds where the statement fails, per assignment of
-        the block (one [lo, hi) range per name; None is the whole space)."""
+        """Planes of the worlds where the statement fails, per assignment of
+        the block (one [lo, hi) range per name; None is the whole space). A
+        planned statement's gap is handed over: drawn again, it is run again."""
         self._enter(block or self._whole)
-        at = self._gaps.get(stmt)
+        _, program, gaps = self._plan
+        at = gaps.get(stmt)
         if at is None:
             return run(Program((stmt,)), self.ops, self._leaf)[-1]
+        if len(self._values) > at and self._values[at] is None:  # handed over already
+            self._values = []
         if len(self._values) <= at:
-            run(self._plan, self.ops, self._leaf, self._values, at + 1)
-        return self._values[at]
+            run(program, self.ops, self._leaf, self._values, at + 1)
+        gap, self._values[at] = self._values[at], None
+        return gap
 
     def _enter(self, block: tuple) -> None:
         if block != self._block:
@@ -127,95 +135,67 @@ class SpaceEvaluator:
             self._values = []
 
     def _leaf(self, name: str) -> np.ndarray:
-        import numpy as np
-
         axis = self._axis.get(name)
         if axis is None:
             return self.ops[0]
         lo, hi = self._block[axis]
-        shape = [1] * len(self.names)
-        shape[axis] = hi - lo
-        return np.arange(lo, hi, dtype=self.ops[0].dtype).reshape(shape)
+        leaf = _kept_leaf if self.frame.worlds * (hi - lo) <= _LEAF_WORDS else _leaf_planes
+        return leaf(self.frame.worlds, len(self.names), axis, lo, hi)
 
 
-def word_dtype(worlds: int) -> np.dtype:
-    """The narrowest unsigned integer dtype with a bit for every world."""
+def _plane_ops(frame: Frame, rank: int) -> tuple:
+    """The plane backend of kripke.run for a space of `rank` variables: zero
+    planes with every variable axis of length 1, read-only, and the all-ones
+    word, then diamond and box. At world w they are the OR and the AND of the
+    planes of w's successors (0 and all ones where it has none, the
+    reductions' identities): one reduction per world, over a run of rows when
+    the successors are consecutive worlds, as on every chain, and over the
+    gathered rows otherwise."""
     import numpy as np
 
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if worlds <= np.iinfo(dtype).bits:
-            return np.dtype(dtype)
-    return np.dtype(np.uint64)
+    rows = [bits_to_worlds(bits) for bits in frame.succ]
+    rows = [slice(r[0], r[-1] + 1) if r and r[-1] - r[0] == len(r) - 1
+            else np.array(r, dtype=np.intp) for r in rows]
+
+    def modal(reduce):
+        def step(a: np.ndarray) -> np.ndarray:
+            out = np.empty_like(a)
+            for w, at in enumerate(rows):
+                reduce(a[at], axis=0, out=out[w])
+            return out
+        return step
+
+    zero = np.zeros((frame.worlds,) + (1,) * max(rank, 1), dtype=np.uint64)
+    zero.setflags(write=False)
+    return zero, ~np.uint64(0), modal(np.bitwise_or.reduce), modal(np.bitwise_and.reduce)
 
 
-def _array_ops(frame: Frame, rank: int) -> tuple:
-    """The array backend of kripke.run: a zero array of the given rank
-    with every axis of length 1 and the mask, both in the frame's word dtype,
-    then diamond and box, each one read of the frame's byte tables (_tables)
-    per byte of the word: the OR of the diamond tables' words, the AND of
-    the box tables'."""
+def _leaf_planes(worlds: int, rank: int, axis: int, lo: int, hi: int) -> np.ndarray:
+    """The read-only planes of the variable on `axis` of a space of `rank`
+    variables over its values [lo, hi), a pure function of its arguments,
+    so small ones are kept (_kept_leaf). On an unpacked axis a value v is a
+    word per world w, all ones where bit w of v is set. The packed axis is
+    built in words of 64 aligned values: the word from value 64q on is the
+    same at world w >= 6, and _PATTERNS at the first six worlds. A range
+    that starts off a word boundary is shifted into place from two words."""
     import numpy as np
 
-    dia_tables, box_tables = _tables(frame)
-    dtype = dia_tables[0].dtype
-    return (np.zeros((1,) * rank, dtype=dtype), dtype.type(frame.mask),
-            lambda a: _read(dia_tables, np.bitwise_or, a),
-            lambda a: _read(box_tables, np.bitwise_and, a))
+    packed, shape = axis == rank - 1, [worlds] + [1] * rank
+    shift, count = (lo & 63, -(-(hi - lo) // 64)) if packed else (0, hi - lo)
+    values = np.arange(count + (shift > 0), dtype=np.uint64) * np.uint64(64 if packed else 1)
+    planes = -(values + np.uint64(lo - shift) >> np.arange(worlds, dtype=np.uint64)[:, None]
+               & np.uint64(1))
+    if packed:
+        planes[:6] = np.array(_PATTERNS[:worlds], dtype=np.uint64)[:, None]
+        if shift:
+            planes = planes[:, :-1] >> np.uint64(shift) | planes[:, 1:] << np.uint64(64 - shift)
+    shape[-1 if packed else 1 + axis] = count
+    planes = planes.reshape(shape)
+    planes.setflags(write=False)
+    return planes
 
 
-@lru_cache(maxsize=_TABLE_FRAMES)
-def _tables(frame: Frame) -> tuple:
-    """The frame's diamond and box tables, one of each per byte of its word,
-    read-only. Diamond table b maps each byte value v to the worlds with a
-    successor in the world set v << 8b; it is built by doubling, one world
-    of the byte at a time, from the worlds' predecessor sets. Box table b
-    maps v to mask ^ D_b[width ^ (v & width)], width being the byte's worlds:
-    the worlds with no successor among the byte's worlds outside v."""
-    import numpy as np
-
-    dtype = word_dtype(frame.worlds)
-    preds = [sum(1 << w for w, s in enumerate(frame.succ) if s >> u & 1)
-             for u in range(frame.worlds)]
-    dia_tables, box_tables = [], []
-    for low in range(0, max(frame.worlds, 1), 8):
-        table = [0]
-        for pred in preds[low:low + 8]:
-            table += [v | pred for v in table]
-        width = len(table) - 1
-        # repeated to 256 entries: bits past the last world are never set
-        dia = np.array(table * (256 // len(table)), dtype=dtype)
-        box = dtype.type(frame.mask) ^ dia[width ^ (np.arange(256) & width)]
-        dia.setflags(write=False)
-        box.setflags(write=False)
-        dia_tables.append(dia)
-        box_tables.append(box)
-    return tuple(dia_tables), tuple(box_tables)
-
-
-def _read(tables: tuple, combine, a: np.ndarray) -> np.ndarray:
-    """combine over b of tables[b][byte b of a], entry by entry. take copies
-    its index to intp, eight bytes an entry, so an array longer than _TAKE is
-    read _TAKE entries at a time into one output."""
-    import numpy as np
-
-    if a.size <= _TAKE:
-        return _read_run(tables, combine, a)
-    flat = a.reshape(-1)
-    out = np.empty(flat.shape, dtype=tables[0].dtype)
-    for lo in range(0, flat.size, _TAKE):
-        _read_run(tables, combine, flat[lo:lo + _TAKE], out[lo:lo + _TAKE])
-    return out.reshape(a.shape)
-
-
-def _read_run(tables: tuple, combine, a: np.ndarray, dest=None):
-    """_read of one run of entries, into dest if given. Without dest a
-    closed statement's scalar gets a scalar back."""
-    import numpy as np
-
-    out = tables[0].take(a.astype(np.uint8, copy=False), out=dest)
-    for shift, table in zip(range(8, 8 * len(tables), 8), tables[1:]):
-        out = combine(out, table.take((a >> shift).astype(np.uint8)), out=dest)
-    return out
+_kept_leaf = lru_cache(maxsize=256)(_leaf_planes)
 
 
 def decode_index(flat: int, names: list[str], worlds: int) -> dict[str, int]:
@@ -249,10 +229,14 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     countermodel is found by variable elimination (_first_by_elimination),
     and no array of the block's shape is built. The scan stops at the first
     block holding a countermodel."""
+    import numpy as np
+
     names, size = evaluator.names, evaluator.size
     total = size ** len(names)
     statements = [conclusion, *premises]
-    step = _widest_step(names, size, statements)
+    axis = {name: i for i, name in enumerate(names)}
+    supports = [{axis[v] for v in statement_vars(s) if v in axis} for s in statements]
+    step = _widest_step(len(names), size, supports)
     evaluator.plan(statements)
     start = 0
     while start < total:
@@ -265,13 +249,16 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
         block = tuple((d, d + length)
                       for d, length in zip(_digits(start, len(names), size), lengths))
         conc = evaluator.gap(conclusion, block)
-        premise_gaps = (evaluator.gap(p, block) for p in premises)
+        fails = _fails(conc, lengths[-1] if lengths else 1)
+        premises_fail = (_fails(evaluator.gap(p, block)) for p in premises)
         if premises and prod(lengths) > _BLOCK_ENTRIES:
-            hit = _first_by_elimination(lengths, conc, premise_gaps)
+            conc = None  # drawn again for a countermodel: the factors are the block's largest arrays
+            local = _first_by_elimination(lengths, supports, fails, premises_fail)
         else:
-            hit = _first_in_block(lengths, conc, premise_gaps)
-        if hit is not None:
-            return start + hit[0], hit[1]
+            local = _first_in_block(lengths, fails, premises_fail)
+        if local is not None:
+            conc = evaluator.gap(conclusion, block) if conc is None else conc
+            return start + local, _world_set(conc, np.unravel_index(local, lengths or (1,)))
         start += width
     return None
 
@@ -281,54 +268,71 @@ def _block_lengths(step: int, size: int, n: int) -> tuple[int, ...]:
     return tuple(max(1, min(size, step // size ** i)) for i in reversed(range(n)))
 
 
-def _widest_step(names: list[str], size: int, statements: list[Statement]) -> int:
-    """The scan's step: the largest power of two, at most the whole space and
-    2^52, at which every statement's gap over the block has at most
-    _BLOCK_ENTRIES entries, and never below the largest power of two within
-    _BLOCK_ENTRIES. A block of at most 2^52 entries has at most 52 axes
-    longer than one, einsum's label limit."""
+def _widest_step(n: int, size: int, supports: list[set[int]]) -> int:
+    """The scan's step over n variables: the largest power of two, at most the
+    whole space and 2^52, at which every statement's gap over the block (on
+    the axes in its support) has at most _BLOCK_ENTRIES entries, and never
+    below the largest power of two within _BLOCK_ENTRIES. A block of at most
+    2^52 entries has at most 52 axes longer than one, einsum's label limit."""
     floor = 1 << _BLOCK_ENTRIES.bit_length() - 1
-    axis = {name: i for i, name in enumerate(names)}
-    supports = [[axis[v] for v in statement_vars(s) if v in axis] for s in statements]
-    step = min(size ** len(names), 1 << 52)
+    step = min(size ** n, 1 << 52)
     while step > floor:
-        lengths = _block_lengths(step, size, len(names))
+        lengths = _block_lengths(step, size, n)
         if all(prod(lengths[i] for i in support) <= _BLOCK_ENTRIES for support in supports):
             break
         step //= 2
     return step
 
 
-def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
-                          premise_gaps: Iterable):
-    """_first_in_block for a premise block too large to broadcast, by bucket
-    elimination over 0/1 float32 factors: the conclusion's gap != 0 and each
-    premise's gap == 0, each over its own axes. Axis by axis in scan order,
-    with the earlier axes held at their chosen values, one einsum sums the
-    product of the factors over the later axes, and the axis takes the
-    smallest value whose sum is positive; a sum of 0/1 products is positive
-    exactly when one of them is 1. None if the first axis has no such value.
-    The greedy contraction order builds no intermediate of more than
-    _BLOCK_ENTRIES entries. Premise gaps are drawn only if the conclusion
-    fails somewhere.
-
-    Each factor is written once, straight from its gap into a float32
-    buffer (_factor), and its axes are listed in the buffer's order, so the
-    slices that hold earlier axes index it as laid out. The premises keep
-    scan order. The conclusion is laid out for a contraction with the
-    largest premise (the first, on a tie), the step the greedy order starts
-    with on Sigma |= pi_k: first the conclusion's axes that premise lacks,
-    then the shared ones in the premise's order. Each group is then
-    contiguous, so the matmul that einsum runs reads both factors as views."""
+def _fails(gap: np.ndarray, length: int = 64) -> np.ndarray:
+    """The OR of the gap's planes, the assignments under which the statement
+    fails somewhere, with the junk bits past `length` packed values cleared."""
     import numpy as np
 
-    if not conc.any():
+    fails = np.bitwise_or.reduce(gap, axis=0)
+    fails &= np.uint64((1 << min(length, 64)) - 1)
+    return fails
+
+
+def _world_set(gap: np.ndarray, at: tuple) -> int:
+    """The gap's world set at the block position `at`, the packed coordinate last."""
+    *lead, packed = (int(i) for i in at)
+    index = [i if n > 1 else 0 for i, n in zip(lead, gap.shape[1:-1])]
+    words = gap[(slice(None), *index, packed >> 6 if gap.shape[-1] > 1 else 0)]
+    return sum((int(word) >> (packed & 63) & 1) << w for w, word in enumerate(words))
+
+
+def _first_by_elimination(lengths: tuple[int, ...], supports: list[set[int]],
+                          fails: np.ndarray, premises_fail: Iterable):
+    """_first_in_block for a premise block too large to broadcast, by bucket
+    elimination over 0/1 float32 factors, the conclusion failing somewhere
+    and each premise nowhere, on the axes of their variables (supports, the
+    conclusion's first). Axis by axis in scan order, with the earlier axes
+    held at their chosen values, one einsum sums the product of the factors
+    over the later axes, and the axis takes the smallest value whose sum is
+    positive; a sum of 0/1 products is positive exactly when one of them is
+    1. None if the first axis has no such value. The greedy contraction
+    order builds no intermediate of more than _BLOCK_ENTRIES entries.
+    Premise gaps are drawn only if the conclusion fails somewhere.
+
+    Each factor is written once into a float32 buffer (_factor), its axes
+    listed in the buffer's order, so the slices that hold earlier axes index
+    it as laid out. The premises keep scan order. The conclusion is laid out
+    for a contraction with the largest premise (the first, on a tie), the
+    step the greedy order starts with on Sigma |= pi_k: first the
+    conclusion's axes that premise lacks, then the shared ones in the
+    premise's order. Each group is then contiguous, so the matmul that
+    einsum runs reads both factors as views."""
+    import numpy as np
+
+    if not fails.any():
         return None
     ranging = [i for i, n in enumerate(lengths) if n > 1]
     dims = [lengths[i] for i in ranging]
-    premises = [_factor(np.equal, g, ranging, dims) for g in premise_gaps]
+    premises = [_factor(~words, support, lengths, ranging, dims)
+                for words, support in zip(premises_fail, supports[1:])]
     largest = max(premises, key=lambda f: f[0].size, default=(None, ()))[1]
-    factors = [_factor(np.not_equal, conc, ranging, dims, last=largest)] + premises
+    factors = [_factor(fails, supports[0], lengths, ranging, dims, last=largest)] + premises
     chosen: list[int] = []
     for p in range(len(dims)):
         args = []
@@ -341,22 +345,26 @@ def _first_by_elimination(lengths: tuple[int, ...], conc: np.ndarray,
         if not positive.size:
             return None
         chosen.append(int(positive[0]))
-    local = int(np.ravel_multi_index(chosen, dims))
-    return local, int(np.broadcast_to(conc, lengths)[np.unravel_index(local, lengths)])
+    return int(np.ravel_multi_index(chosen, dims))
 
 
-def _factor(truth, gap: np.ndarray, ranging: list[int], dims: list[int],
-            last=()) -> tuple:
-    """(truth(gap, 0) as 0/1 float32, its axes in the buffer's order),
-    written in one pass. The gap's ranging axes keep scan order, except
-    that those in `last` move to the end, in last's order."""
+def _factor(words: np.ndarray, support: set[int], lengths: tuple[int, ...],
+            ranging: list[int], dims: list[int], last=()) -> tuple:
+    """(the bits of `words` as 0/1 float32, its axes in the buffer's order),
+    written in one pass. The axes are the ranging ones of the statement's
+    variables (support), not read off its words, which are one per row for a
+    packed axis of up to 64 values. They keep scan order, except that those
+    in `last` move to the end, in last's order."""
     import numpy as np
 
-    axes = [a for a, i in enumerate(ranging) if gap.shape[i] > 1]
+    packed = len(lengths) - 1 in support
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+                         count=lengths[-1] if packed else 1, bitorder="little")
+    axes = [a for a, i in enumerate(ranging) if i in support]
     order = [a for a in axes if a not in last] + [a for a in last if a in axes]
     buffer = np.empty([dims[a] for a in order], dtype=np.float32)
-    truth(gap.reshape([dims[a] for a in axes]), 0,
-          out=buffer.transpose([order.index(a) for a in axes]))
+    np.copyto(buffer.transpose([order.index(a) for a in axes]),
+              bits.reshape([dims[a] for a in axes]))
     return buffer, order
 
 
@@ -365,45 +373,57 @@ def first_sampled_countermodel(frame: Frame, names: list[str], values: Iterator[
     """First of `count` rows under which the statement fails somewhere, as
     (row index, row), or None. `values` yields the rows' bitsets one after
     another, one per name in the order of `names`; variables outside `names`
-    are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each laid
-    along one axis in the frame's word dtype and evaluated at once."""
+    are empty. Rows are read in batches of at most _BLOCK_ENTRIES, each
+    packed along one axis (_row_planes) and evaluated at once."""
     import numpy as np
 
-    ops = _array_ops(frame, 1)
-    zero = ops[0]
-    program = Program((stmt,))
+    ops = _plane_ops(frame, 1)
+    program, used = Program((stmt,)), statement_vars(stmt)
     for done in range(0, count, _BLOCK_ENTRIES):
         rows = min(_BLOCK_ENTRIES, count - done)
-        table = np.fromiter(values, dtype=zero.dtype, count=rows * len(names))
-        table = table.reshape(rows, len(names))
-        columns = dict(zip(names, table.T))
-        gap = run(program, ops, lambda name: columns.get(name, zero))[-1]
-        hit = _first_in_block((rows,), gap, ())
-        if hit is not None:
-            return done + hit[0], tuple(int(v) for v in table[hit[0]])
+        table = np.fromiter(values, "<u8", rows * len(names)).reshape(rows, len(names))
+        planes = {name: _row_planes(table[:, i], frame.worlds)
+                  for i, name in enumerate(names) if name in used}
+        gap = run(program, ops, lambda name: planes.get(name, ops[0]))[-1]
+        row = _first_in_block((rows,), _fails(gap, rows), ())
+        if row is not None:
+            return done + row, tuple(int(v) for v in table[row])
     return None
 
 
-def _first_in_block(shape: tuple[int, ...], conc: np.ndarray, premise_gaps: Iterable):
-    """First position, in C order over the block `shape`, where the
-    conclusion's gap is nonzero and every premise gap is zero, with the
-    conclusion's gap there, or None. The gaps are read on the axes they
-    mention: a lone conclusion's first failure is read off its own gap, with
-    the axes it omits held at 0, at any block size. Premise gaps are drawn
-    only while some position is still open, and combined in place into one
-    mask, widened once to the block's shape."""
+def _row_planes(values: np.ndarray, worlds: int) -> np.ndarray:
+    """The planes of one variable over a batch of rows, bit r of plane w being
+    bit w of values[r], packed one world at a time: no temporary holds a byte
+    per world and row."""
     import numpy as np
 
-    fail = conc != 0
-    for g in premise_gaps:
+    octets = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    planes = np.zeros((worlds, -(-len(values) // 64) * 8), dtype=np.uint8)
+    for w in range(worlds):
+        planes[w, :-(-len(values) // 8)] = np.packbits(octets[:, w >> 3] & 1 << (w & 7),
+                                                        bitorder="little")
+    return planes.view("<u8")
+
+
+def _first_in_block(shape: tuple[int, ...], fail: np.ndarray, premises_fail: Iterable):
+    """First position, as a flat index in C order over the block `shape`,
+    where the conclusion fails somewhere and every premise nowhere, or None.
+    fail is the conclusion's OR (_fails); premises_fail yields the premises'
+    ORs, drawn only while some position is still open, and each clears its
+    failures from fail word by word. The words are read on the axes they
+    mention: a lone conclusion's first failure is the lowest set bit of its
+    own OR, with the axes it omits held at 0, at any block size."""
+    import numpy as np
+
+    for words in premises_fail:
         if not fail.any():
             return None
-        if fail.shape != shape:
-            fail = np.broadcast_to(fail, shape).copy()
-        fail &= g == 0
+        fail = fail & ~words
     flat = fail.reshape(-1)
-    local = int(np.argmax(flat))
-    if not flat[local]:
+    local = int(np.argmax(flat != 0))
+    word = int(flat[local])
+    if not word:
         return None
-    at = np.unravel_index(local, fail.shape)
-    return int(np.ravel_multi_index(at, shape)), int(np.broadcast_to(conc, fail.shape)[at])
+    *lead, j = np.unravel_index(local, fail.shape)
+    packed = 64 * int(j) + (word & -word).bit_length() - 1
+    return int(np.ravel_multi_index((*lead, packed), shape or (1,)))

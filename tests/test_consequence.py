@@ -243,3 +243,16 @@ def test_sigma_pi_1_on_the_five_chain_builds_each_factor_once(store):
         tracemalloc.stop()
     assert result.holds
     assert peak < 7 << 20
+
+
+def test_a_problem_over_many_frames_compiles_its_statements_once(store, monkeypatch):
+    # every frame's scan runs the program compiled for the first frame
+    _, pi = build_sigma_pi(chain_term(store), "x", 1)
+    frames = [frame for size in range(1, 6) for frame in enumerate_chains(size)]
+    compiled = []
+    real = vector.Program
+    monkeypatch.setattr(vector, "Program", lambda roots: compiled.append(roots) or real(roots))
+    result = check_consequence(ConsequenceProblem([pi[1]], pi[0], frames))
+    assert len(frames) == 62 and result.holds
+    assert result.assignments == sum(1 << 4 * frame.worlds for frame in frames)
+    assert compiled == [[pi[0], pi[1]]]

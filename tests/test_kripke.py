@@ -21,6 +21,7 @@ from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, l
 from modalbench.vector import SpaceEvaluator
 
 from oracles import naive_eval, naive_fails
+from planes import world_sets
 from strategies import build_term, frames, term_plans, valuations_for
 
 
@@ -314,7 +315,10 @@ def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
     t = parse_formula("tpow(200)", TermStore())
     scalar = evaluate(Model(frame, valuation), t)
     per_assignment = Evaluator(frame).evaluate(t, assignment)
-    # the vectorized backend at one assignment: rank-0 arrays, no variable axes
+    # the plane backend at one assignment: no variable axes, one word per
+    # world, all ones at the worlds of the variable's set
     ev = SpaceEvaluator(frame, [])
-    vector = run(program_of(t), ev.ops, lambda name: np.uint64(assignment[name]))[-1]
-    assert scalar == per_assignment == int(vector) == frame.mask
+    planes = {name: np.array([[-(bits >> w & 1) & (1 << 64) - 1] for w in range(frame.worlds)],
+                             dtype=np.uint64) for name, bits in assignment.items()}
+    vector = run(program_of(t), ev.ops, planes.get)[-1]
+    assert scalar == per_assignment == int(world_sets(vector, ())[0]) == frame.mask

@@ -18,6 +18,7 @@ from modalbench.terms import TermStore, eq, leq, walk
 from modalbench.vector import SpaceEvaluator, first_countermodel
 
 from oracles import naive_eval, naive_fails
+from planes import world_sets
 from strategies import build_term, frames, term_plans
 
 
@@ -54,7 +55,7 @@ def test_the_array_run_over_a_block_matches_int_runs_per_assignment(data, plan, 
     ev = SpaceEvaluator(frame, names)
     ev.plan([stmt])
     shape = tuple(hi - lo for lo, hi in block)
-    got = np.broadcast_to(ev.gap(stmt, tuple(block)), shape)
+    got = world_sets(ev.gap(stmt, tuple(block)), shape)
     ints = int_ops(frame)
     program = Program((stmt,))
     for at in np.ndindex(shape):
@@ -96,7 +97,7 @@ def test_a_statement_outside_the_plan_runs_its_own_program(store):
     assert first_countermodel(ev, [], planned) is not None
     block = ((1, 3), (0, 8))
     for stmt in (planned, aside, planned):
-        got = np.broadcast_to(ev.gap(stmt, block), (2, 8))
+        got = world_sets(ev.gap(stmt, block), (2, 8))
         for i, j in np.ndindex(2, 8):
             assignment = {"x": 1 + i, "y": j}
             assert int(got[i, j]) == Evaluator(frame).statement_gap(stmt, assignment)
@@ -112,8 +113,8 @@ def test_an_argument_read_twice_is_dropped_once(store):
     ev = SpaceEvaluator(frame, ["x"])
     values = run(program_of(both), ev.ops, ev._leaf)
     assert values[first[-1]] is None
-    assert [int(v) for v in values[-1]] == [Evaluator(frame).evaluate(a, {"x": v})
-                                            for v in range(8)]
+    assert world_sets(values[-1], (8,)).tolist() == [Evaluator(frame).evaluate(a, {"x": v})
+                                                     for v in range(8)]
 
 
 @pytest.mark.parametrize("text, holds", [
@@ -124,7 +125,7 @@ def test_constant_leaves_on_both_backends(store, text, holds):
     t = parse_formula(text, store)
     assert Evaluator(frame).evaluate(t, {}) == holds
     out = SpaceEvaluator(frame, ["x"]).evaluate(t)
-    assert out.shape == (1,) and int(out[0]) == holds
+    assert out.shape == (3, 1) and world_sets(out, (1,)).tolist() == [holds]  # no variable axis
 
 
 @pytest.mark.parametrize("build", [
@@ -136,7 +137,7 @@ def test_long_terms_compile_and_run_without_recursion(store, build):
     frame, valuation = make_chain(3), lemma_valuation(1)
     assignment = {name: valuation.bits(name) for name in ("x", "y", "z")}
     scalar = Evaluator(frame).evaluate(t, assignment)
-    vector = np.broadcast_to(SpaceEvaluator(frame, ["x", "y", "z"]).evaluate(t), (8, 8, 8))
+    vector = world_sets(SpaceEvaluator(frame, ["x", "y", "z"]).evaluate(t), (8, 8, 8))
     assert int(vector[tuple(assignment[n] for n in "xyz")]) == scalar
     assert len(program_of(t).columns[0]) == terms.node_count(t)
 

@@ -24,12 +24,12 @@ from modalbench.terms import TermStore, chain_term, eq, leq, node_count, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
 from oracles import naive_eval, naive_first_countermodel
+from planes import world_sets
 from strategies import build_term, frames, term_plans
 
 
 def all_assignment_values(ev: SpaceEvaluator, term) -> np.ndarray:
-    return np.broadcast_to(ev.evaluate(term),
-                           (ev.size,) * len(ev.names)).reshape(-1)
+    return world_sets(ev.evaluate(term), (ev.size,) * len(ev.names)).reshape(-1)
 
 
 @given(frame=frames(max_worlds=3), plan=term_plans(max_depth=3))
@@ -245,7 +245,7 @@ def test_evaluate_after_a_scan_reads_the_whole_space(store, monkeypatch):
     for got, want in ((ev.evaluate(step), fresh.evaluate(step)),
                       (ev.gap(stmt), fresh.gap(stmt))):
         assert got.shape == want.shape and (got == want).all()
-    assert ev.evaluate(step).shape == (4, 4, 1)
+    assert ev.evaluate(step).shape == (2, 4, 4, 1)  # worlds, x, y, one word for z
 
 
 def test_scan_memory_follows_the_block_not_the_space(store, monkeypatch):
@@ -338,8 +338,8 @@ def test_no_variables_case(store):
 def test_variables_outside_names_read_as_empty(store):
     ev = SpaceEvaluator(Frame(2, (0b10, 0)), ["x"])
     out = ev.evaluate(store.or_(store.var("x"), store.var("ghost")))
-    assert out.shape == (4,)
-    assert [int(v) for v in out] == [0, 1, 2, 3]
+    assert out.shape == (2, 1)  # two worlds' planes, x's four values in one word
+    assert world_sets(out, (4,)).tolist() == [0, 1, 2, 3]
 
 
 @given(idx=st.integers(0, 4 ** 3 - 1))
@@ -355,9 +355,9 @@ def test_decode_index_round_trip(idx):
 def test_store_binding_and_world_cap(store):
     ev = SpaceEvaluator(Frame(1, (0,)), ["x"])
     other = TermStore()
-    assert [int(v) for v in ev.evaluate(store.top())] == [1]
-    assert [int(v) for v in ev.evaluate(other.top())] == [1]
-    assert [int(v) for v in ev.evaluate(other.not_(other.var("x")))] == [1, 0]
+    assert world_sets(ev.evaluate(store.top()), (2,)).tolist() == [1, 1]
+    assert world_sets(ev.evaluate(other.top()), (2,)).tolist() == [1, 1]
+    assert world_sets(ev.evaluate(other.not_(other.var("x"))), (2,)).tolist() == [1, 0]
     with pytest.raises(CapExceededError):
         Frame(65, (0,) * 65)
 

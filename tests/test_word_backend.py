@@ -1,5 +1,7 @@
-"""The array backend's word dtypes and byte-table diamond against the scalar
-evaluator, its memory per entry, and the lone statement's first block.
+"""The plane backend against the int backend, one assignment at a time: its
+leaves, its diamond and box over runs of successors and gathered ones, the
+junk bits past a short packed axis, premise scans and elimination; its
+memory, and the lone statement's first block.
 """
 
 import random
@@ -8,17 +10,21 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modalbench.vector as vector
 from modalbench.algebra import check_validity
 from modalbench.chains import make_chain
-from modalbench.kripke import Evaluator, frame_from_edges
+from modalbench.kripke import Evaluator, Program, frame_from_edges, int_ops, run
 from modalbench.syntax import parse_statement
-from modalbench.terms import eq, walk
-from modalbench.vector import SpaceEvaluator, word_dtype
+from modalbench.terms import TermStore, eq, leq, walk
+from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
-WORD = {0: np.uint8, 1: np.uint8, 7: np.uint8, 8: np.uint8,
-        9: np.uint16, 16: np.uint16, 17: np.uint32, 24: np.uint32}
+from planes import world_sets
+from strategies import build_term, term_plans
+
+WORLDS = [0, 1, 5, 6, 7, 9, 64]
+CLOSED = ["T = T", "<>T = T", "[]F = F", "<>T <= []F", "~<>T = []F"]
 
 
 def random_frame(worlds: int, density: float, rng: random.Random):
@@ -26,18 +32,94 @@ def random_frame(worlds: int, density: float, rng: random.Random):
                                      if rng.random() < density])
 
 
-@pytest.mark.parametrize("worlds", sorted(WORD))
+@st.composite
+def plane_frames(draw, sizes=tuple(WORLDS)):
+    # sparse frames, whose successor sets are short runs, and dense ones,
+    # whose worlds have many runs and are gathered
+    worlds = draw(st.sampled_from(sizes))
+    density = draw(st.sampled_from([0.1, 0.4, 0.9]))
+    return random_frame(worlds, density, random.Random(draw(st.integers(0, 1 << 32))))
+
+
+@st.composite
+def statements(draw, store, names=("x", "y", "z")):
+    if draw(st.integers(0, 5)) == 0:
+        return parse_statement(draw(st.sampled_from(CLOSED)), store)
+    lhs = build_term(draw(term_plans(names, max_depth=3)), store)
+    rhs = build_term(draw(term_plans(names, max_depth=2)), store)
+    return draw(st.sampled_from([eq, leq]))(lhs, rhs)
+
+
+def int_gaps(frame, statements, assignment) -> list[int]:
+    program = Program(statements)
+    values = run(program, int_ops(frame), lambda name: assignment.get(name, 0))
+    return [values[at] for at in program.roots]
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_the_plane_run_matches_the_int_run_per_assignment(data):
+    # aligned blocks below and above 64 assignments (junk bits past a short
+    # packed axis), packed ranges off a word boundary, a trailing name that
+    # no statement mentions (nothing packed), closed statements and no names
+    frame = data.draw(plane_frames())
+    store = TermStore()
+    stmt = data.draw(statements(store))
+    names = data.draw(st.sampled_from([[], ["x"], ["x", "y"], ["x", "y", "z"],
+                                       ["z", "x"], ["x", "y", "z", "w"]]))
+    size, n = 1 << frame.worlds, len(names)
+    step = 1 << data.draw(st.integers(0, 8))
+    lengths = vector._block_lengths(step, size, n)
+    start = data.draw(st.integers(0, max(0, size ** n // step - 1))) * step
+    block = [(d, d + k) for d, k in zip(vector._digits(start, n, size), lengths)]
+    if n and data.draw(st.booleans()):  # the packed range anywhere
+        lo = data.draw(st.integers(0, size - lengths[-1]))
+        block[-1] = (lo, lo + lengths[-1])
+    got = world_sets(SpaceEvaluator(frame, names).gap(stmt, tuple(block)), lengths)
+    for at in np.ndindex(lengths or (1,)):
+        assignment = {name: lo + i for name, (lo, _), i in zip(names, block, at)}
+        assert int(got[at]) == int_gaps(frame, [stmt], assignment)[0]
+
+
+def int_first_countermodel(frame, names, premises, conclusion):
+    for idx in range((1 << frame.worlds) ** len(names)):
+        conc, *rest = int_gaps(frame, [conclusion, *premises],
+                               decode_index(idx, names, frame.worlds))
+        if conc and not any(rest):
+            return idx, conc
+    return None
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_premise_scans_and_elimination_match_the_int_scan(data):
+    # small budgets: the blocks are read word by word across many blocks,
+    # or, with a trailing name that no statement mentions, by elimination
+    frame = data.draw(plane_frames(sizes=(0, 1, 2, 5)))
+    names = ["x", "y"] if frame.worlds == 5 else data.draw(
+        st.sampled_from([["x", "y"], ["x", "y", "w"], ["x", "y", "z", "w"]]))
+    store = TermStore()
+    premises = [data.draw(statements(store, ("x", "y")))
+                for _ in range(data.draw(st.integers(1, 2)))]
+    conclusion = data.draw(statements(store, ("x", "y", "z") if "z" in names else ("y",)))
+    budget = data.draw(st.sampled_from([4, 16]))
+    want = int_first_countermodel(frame, names, premises, conclusion)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vector, "_BLOCK_ENTRIES", budget)
+        got = first_countermodel(SpaceEvaluator(frame, names), premises, conclusion)
+    assert got == want
+
+
+@pytest.mark.parametrize("worlds", [0, 1, 7, 8, 9, 16, 17, 24])
 def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
-    # every byte boundary and every dtype up to 32 worlds; frames of more
-    # than 9 worlds are read in windows of 64 values at random offsets, and
-    # a term is read as the gap of t = F
+    # frames of more than 9 worlds are read in windows of 64 values, aligned
+    # and not, at random offsets; a term is read as the gap of t = F
     rng = random.Random(worlds)
     x = store.var("x")
     modal = [store.dia(x), store.box(x), store.box(store.dia(store.not_(x)))]
     for density in (0.1, 0.5, 0.9):
         frame = random_frame(worlds, density, rng)
         ev = SpaceEvaluator(frame, ["x"])
-        assert word_dtype(worlds) == ev.ops[0].dtype == WORD[worlds]
         scalar = Evaluator(frame)
         if worlds <= 9:
             windows = [(0, ev.size)]
@@ -47,50 +129,50 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
         for lo, hi in windows:
             for t in modal:
                 got = ev.gap(eq(t, store.bot()), ((lo, hi),))
-                assert got.dtype == WORD[worlds]
-                assert [int(v) for v in got] == [
+                assert got.dtype == np.uint64 and got.shape == (worlds, -(-(hi - lo) // 64))
+                assert world_sets(got, (hi - lo,)).tolist() == [
                     scalar.evaluate(t, {"x": v}) for v in range(lo, hi)]
 
 
 @pytest.mark.parametrize("worlds", [0, 1, 9, 16, 17, 33, 64])
-def test_reads_longer_than_one_take_match_the_scalar_evaluator(store, worlds):
-    # every word dtype and tables of 1, 2, 3, 5 and 8 bytes; the arrays span
-    # two whole runs of _TAKE entries and a partial one, contiguous and
-    # strided, drawn from a pool of world sets so the scalar side stays small
+def test_modal_steps_over_many_words_match_the_scalar_evaluator(worlds):
+    # random planes over two rows of 40 words, contiguous and strided, on
+    # frames whose successor sets are runs and scattered worlds
     rng = random.Random(worlds)
-    x = store.var("x")
-    frame = random_frame(worlds, 0.3, rng)
-    _, _, dia, box = SpaceEvaluator(frame, ["x"]).ops
-    scalar = Evaluator(frame)
-    pool = sorted({0, frame.mask} | {rng.getrandbits(worlds) for _ in range(300)})
-    values = np.array([rng.choice(pool) for _ in range(2 * (2 * vector._TAKE + 5))],
-                      dtype=word_dtype(worlds)).reshape(2, -1)
-    for a in (values, values[:, ::2]):
-        assert a.size > vector._TAKE
-        for op, t in ((dia, store.dia(x)), (box, store.box(x))):
-            want = {v: scalar.evaluate(t, {"x": v}) for v in pool}
-            got = op(a)
-            assert got.shape == a.shape and got.dtype == a.dtype
-            assert got.tolist() == [[want[v] for v in row] for row in a.tolist()]
+    for density in (0.05, 0.3, 0.9):
+        frame = random_frame(worlds, density, rng)
+        _, _, dia, box = SpaceEvaluator(frame, ["x", "y"]).ops
+        _, _, int_dia, int_box = int_ops(frame)
+        planes = np.array([[[rng.getrandbits(64) for _ in range(40)] for _ in range(2)]
+                           for _ in range(worlds)], dtype=np.uint64).reshape(worlds, 2, 40)
+        for a in (planes, planes[:, :, ::7]):
+            lengths = (2, 64 * a.shape[-1])
+            values = world_sets(a, lengths)
+            for op, int_op in ((dia, int_dia), (box, int_box)):
+                got = op(a)
+                assert got.shape == a.shape and got.dtype == np.uint64
+                assert world_sets(got, lengths).tolist() == [
+                    [int_op(int(v)) for v in row] for row in values]
 
 
-def test_a_table_read_needs_little_scratch_memory():
-    # take copies its index to intp: eight bytes an entry, read unchunked
+def test_a_modal_step_needs_little_scratch_memory():
+    # each world's planes are reduced into the output in place, from a run of
+    # successor rows on a chain
     frame = make_chain(7)
     box = SpaceEvaluator(frame, ["x"]).ops[3]
-    a = np.arange(1 << 20, dtype=np.uint64).astype(np.uint8)
+    a = np.arange(7 << 14, dtype=np.uint64).reshape(7, 1 << 14)  # 2^20 assignments
     tracemalloc.start()
     try:
         out = box(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.nbytes == 1 << 20
-    assert peak - out.nbytes < 1 << 20, peak
+    assert out.nbytes == 7 << 17
+    assert peak - out.nbytes < 16 << 10, peak
 
 
 def test_sampled_check_on_64_worlds_reports_the_first_failing_row(store):
-    # eight tables and uint64 words; a sparse frame, so that the rows the
+    # 64 planes of packed rows; a sparse frame, so that the rows the
     # hunt starts with (all empty, all full) hold and a random row refutes
     frame = random_frame(64, 2 / 64, random.Random(64))
     stmt = parse_statement("[]x <= [][]x", store)
@@ -128,4 +210,4 @@ def test_an_early_refutation_reads_one_small_block(monkeypatch, store):
     report = check_validity(make_chain(7), parse_statement("tpow(2) = tpow(3)", store),
                             ["x", "y", "z"])
     assert report.verdict == "countermodel" and report.valuations_tried == 1
-    assert len(read) == 1 and read[0] <= 1 << 12
+    assert len(read) == 1 and read[0] <= vector._FIRST_BLOCK
