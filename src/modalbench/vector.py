@@ -252,7 +252,7 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
         fails = _fails(conc, lengths[-1] if lengths else 1)
         premises_fail = (_fails(evaluator.gap(p, block)) for p in premises)
         if premises and prod(lengths) > _BLOCK_ENTRIES:
-            conc = None  # drawn again for a countermodel: the factors are the block's largest arrays
+            conc = None  # its planes go before the factors; drawn again for a countermodel
             local = _first_by_elimination(lengths, supports, fails, premises_fail)
         else:
             local = _first_in_block(lengths, fails, premises_fail)
@@ -363,8 +363,8 @@ def _factor(words: np.ndarray, support: set[int], lengths: tuple[int, ...],
     axes = [a for a, i in enumerate(ranging) if i in support]
     order = [a for a in axes if a not in last] + [a for a in last if a in axes]
     buffer = np.empty([dims[a] for a in order], dtype=np.float32)
-    np.copyto(buffer.transpose([order.index(a) for a in axes]),
-              bits.reshape([dims[a] for a in axes]))
+    np.copyto(buffer, bits.reshape([dims[a] for a in axes]).transpose(
+        [axes.index(a) for a in order]))
     return buffer, order
 
 
