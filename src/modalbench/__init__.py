@@ -11,10 +11,9 @@ from .chains import (ChainSpec, LemmaCertificate, check_lemma, enumerate_chains,
 from .consequence import (ConsequenceProblem, ConsequenceResult, build_sigma_pi,
                           check_consequence)
 from .errors import CapExceededError, InputError, MissingVariableWarning
-from .kripke import (MAX_WORLDS, Evaluator, Frame, Model, Valuation,
-                     bits_to_worlds, evaluate, evaluate_orbit, frame_from_edges,
-                     frame_from_json, frame_to_json, holds_globally, load_frame,
-                     valuation_from_json, worlds_to_bits)
+from .kripke import (MAX_WORLDS, Frame, Model, Valuation, bits_to_worlds, evaluate,
+                     evaluate_orbit, frame_from_edges, frame_from_json, frame_to_json,
+                     holds_globally, load_frame, valuation_from_json, worlds_to_bits)
 from .syntax import (ParseError, format_statement, format_term, parse_formula,
                      parse_statement)
 from .terms import (Statement, Term, TermStore, boxdot_power, chain_term,

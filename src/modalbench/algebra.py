@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InputError, check_count
-from .kripke import Evaluator, Frame, Valuation, bits_to_worlds, int_ops
+from .kripke import Frame, Model, Valuation, bits_to_worlds, int_ops
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
@@ -51,8 +51,8 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
                    seed: int = 0) -> ValidityReport:
     """Decide whether the statement holds under every valuation of the given
     variables (default: the statement's variables, sorted). A given list
-    must name every variable of the statement, each once, and nothing that
-    is not a variable name.
+    must be a list, not a str, that names every variable of the statement,
+    each once, and nothing that is not a variable name.
 
     Within the bit cap the scan is exhaustive with a deterministic order, so
     the reported countermodel is the lowest-index one. Beyond the cap the call
@@ -62,6 +62,8 @@ def check_validity(frame: Frame, stmt: Statement, variables: list[str] | None = 
     if samples is not None:
         check_count(samples, "sample count")
     check_count(bit_cap, "bit cap")
+    if isinstance(variables, str):
+        raise InputError("variable list must be a list of names, not a str")
     needed = statement_vars(stmt)
     names = sorted(needed) if variables is None else [check_name(n) for n in variables]
     given = set(names)
@@ -165,11 +167,11 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
     for name in sorted(params.names()):
         frame.check(params.bits(name), f"parameter {name!r}")
     assignment = {name: params.bits(name) for name in free_vars(term) if name != pivot}
-    evaluator = Evaluator(frame)
+    model = Model(frame)
 
     def step(a: int) -> int:
         assignment[pivot] = a
-        return evaluator.evaluate(term, assignment)
+        return model.evaluate(term, assignment)
 
     table = [step(a) for a in range(1 << frame.worlds)]
     for a, image in enumerate(table):

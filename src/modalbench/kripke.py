@@ -10,8 +10,8 @@ dual of diamond. It runs a Program, terms or statements compiled once into
 a flat list of instructions, children first (a term keeps its own,
 program_of), and is generic in its backend, which supplies diamond and box.
 Each instruction marks the arguments it is the last to read, and run drops
-their values right after that read. Model and Evaluator run programs on
-ints, each modality a loop over the successor sets; the vectorized
+their values right after that read. Model, the one scalar evaluator, runs
+them on ints, each modality a loop over the successor sets; the vectorized
 SpaceEvaluator in vector.py runs them on bit planes, one per world with a
 bit per valuation, each modality one reduction per world over its
 successors' planes, and the drops keep its live arrays to the DAG's width.
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import terms
-from .errors import (CapExceededError, InputError, MissingVariableWarning, check_int,
-                     shown)
+from .errors import (CapExceededError, InputError, MissingVariableWarning, check_count,
+                     check_int, shown)
 from .terms import AND, BOT, BOX, DIA, EQ, IMP, LEQ, NOT, OR, TOP, VAR, Statement, Term
 
 MAX_WORLDS = 64
@@ -159,8 +159,8 @@ def bits_to_worlds(bits: int) -> list[int]:
 
 
 class Valuation:
-    """Immutable map from variable name to world bitset, so models can cache
-    evaluations safely. A changed valuation is a new Valuation."""
+    """Immutable map from variable name to world bitset; a changed valuation
+    is a new Valuation."""
 
     __slots__ = ("_bits",)
 
@@ -207,20 +207,32 @@ def valuation_from_json(data: object) -> Valuation:
 
 
 class Model:
-    """A frame plus a valuation, with a memo of root values keyed by term
-    identity: evaluate answers a term again without running its program.
-    The memo never needs invalidation because both halves are immutable."""
+    """A frame and a valuation (empty if none is given): the scalar
+    evaluator. evaluate runs a term's program on the frame's int backend."""
 
-    __slots__ = ("frame", "valuation", "ops", "_memo", "_warned")
+    __slots__ = ("frame", "valuation", "ops", "_warned")
 
-    def __init__(self, frame: Frame, valuation: Valuation):
-        for name in sorted(valuation.names()):
-            frame.check(valuation.bits(name), f"valuation of {name!r}")
+    def __init__(self, frame: Frame, valuation: Valuation | None = None):
+        self.valuation = Valuation() if valuation is None else valuation
+        for name in sorted(self.valuation.names()):
+            frame.check(self.valuation.bits(name), f"valuation of {name!r}")
         self.frame = frame
-        self.valuation = valuation
         self.ops = int_ops(frame)
-        self._memo: dict[Term, int] = {}
         self._warned: set[str] = set()
+
+    def evaluate(self, term: Term, assignment: Mapping[str, int] | None = None) -> int:
+        """Bitset of worlds where the term holds. Box is universal over
+        successors, so it holds vacuously at worlds with none. Without an
+        assignment the variables read the valuation, where a missing one is
+        empty with a one-shot warning. With one they read the assignment,
+        each value a world set of the frame; a missing one is empty, silently,
+        since enumeration callers control the variable set."""
+        if isinstance(term, Statement):
+            raise InputError("evaluate takes a term; holds_globally decides a statement")
+        check = self.frame.check  # the name is the label: formatting one per read cost more
+        leaf = self._leaf if assignment is None else (
+            lambda name: check(assignment.get(name, 0), name))
+        return run(program_of(term), self.ops, leaf)[-1]
 
     def _leaf(self, name: str) -> int:
         if name not in self.valuation and name not in self._warned:
@@ -377,26 +389,23 @@ def run(program: Program, ops: tuple, leaf: Callable, values: list | None = None
 
 
 def evaluate(model: Model, term: Term) -> int:
-    """Bitset of worlds where the term holds. Box is universal over successors,
-    so it holds vacuously at worlds with none; variables missing from the
-    valuation evaluate to the empty set, with a one-shot warning each."""
-    if term not in model._memo:  # a model runs a term once: the term keeps no program
-        model._memo[term] = run(Program((term,)), model.ops, model._leaf)[-1]
-    return model._memo[term]
+    """model.evaluate(term): the worlds where the term holds."""
+    return model.evaluate(term)
 
 
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
     """The k+1 bitsets of the semantic iteration: start at base_bits, then
     repeatedly evaluate the term with the pivot bound to the previous value.
-    The pivot must be a variable name and the base a world set of the frame."""
+    The pivot must be a variable name, k a count and the base a world set of
+    the frame."""
     terms.check_name(pivot)
+    check_count(k, "iteration count")
     orbit = [model.frame.check(base_bits, "base bitset")]
-    evaluator = Evaluator(model.frame)
     assignment = {name: model.valuation.bits(name)
                   for name in terms.free_vars(term) if name != pivot}
     for _ in range(k):
         assignment[pivot] = orbit[-1]
-        orbit.append(evaluator.evaluate(term, assignment))
+        orbit.append(model.evaluate(term, assignment))
     return orbit
 
 
@@ -406,26 +415,4 @@ def holds_globally(model: Model, stmt: Statement) -> bool:
     return run(Program((stmt,)), model.ops, model._leaf)[-1] == 0
 
 
-class Evaluator:
-    """Evaluation on one frame under many assignments, each call a fresh run
-    of the term's program. Assignments are plain dicts of world sets of the
-    frame; absent variables mean empty, silently, since enumeration callers
-    control the variable set."""
-
-    __slots__ = ("frame", "ops")
-
-    def __init__(self, frame: Frame):
-        self.frame = frame
-        self.ops = int_ops(frame)
-
-    def evaluate(self, term: Term, assignment: Mapping[str, int]) -> int:
-        return run(program_of(term), self.ops, self._leaf_of(assignment))[-1]
-
-    def statement_gap(self, stmt: Statement, assignment: Mapping[str, int]) -> int:
-        """Bitset of worlds where the statement fails under the assignment."""
-        return run(Program((stmt,)), self.ops, self._leaf_of(assignment))[-1]
-
-    def _leaf_of(self, assignment: Mapping[str, int]) -> Callable:
-        # the name is the label: formatting one per read cost more than the check
-        check = self.frame.check
-        return lambda name: check(assignment.get(name, 0), name)
+Evaluator = Model  # bench/spans.py wraps Evaluator.evaluate; goes with ROADMAP item 5

@@ -76,8 +76,8 @@ class SpaceEvaluator:
     After plan(statements), the statements' one program runs on each block
     as far as the statements drawn so far need, so statements sharing
     subterms share their arrays, and each node array is dropped right after
-    its last read. Entering another block starts the run afresh. Any other
-    term or statement runs its own program, so it still gets its right value."""
+    its last read. Entering another block starts the run afresh. evaluate
+    runs a term's own program over the whole space."""
 
     def __init__(self, frame: Frame, names: list[str]):
         self.frame = frame
@@ -113,15 +113,13 @@ class SpaceEvaluator:
         self._enter(self._whole)
         return run(program_of(term), self.ops, self._leaf)[-1]
 
-    def gap(self, stmt: Statement, block: tuple | None = None) -> np.ndarray:
-        """Planes of the worlds where the statement fails, per assignment of
-        the block (one [lo, hi) range per name; None is the whole space). A
-        planned statement's gap is handed over: drawn again, it is run again."""
-        self._enter(block or self._whole)
+    def gap(self, stmt: Statement, block: tuple) -> np.ndarray:
+        """Planes of the worlds where a planned statement fails, per
+        assignment of the block (one [lo, hi) range per name). The gap is
+        handed over: drawn again, it is run again."""
+        self._enter(block)
         _, program, gaps = self._plan
-        at = gaps.get(stmt)
-        if at is None:
-            return run(Program((stmt,)), self.ops, self._leaf)[-1]
+        at = gaps[stmt]
         if len(self._values) > at and self._values[at] is None:  # handed over already
             self._values = []
         if len(self._values) <= at:

@@ -13,8 +13,8 @@ from modalbench.algebra import (DEFAULT_BIT_CAP, FixpointResult, ValidityReport,
                                 transitivity_degree, uniform_stabilization)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
 from modalbench.errors import CapExceededError, InputError
-from modalbench.kripke import (Evaluator, Frame, Valuation, bits_to_worlds,
-                               frame_from_edges)
+from modalbench.kripke import (Frame, Program, Valuation, bits_to_worlds,
+                               frame_from_edges, int_ops, run)
 from modalbench.syntax import parse_formula, parse_statement
 from modalbench.terms import (TermStore, boxdot_power, chain_term, diamond_term,
                               eq, iterate, leq, statement_vars)
@@ -50,16 +50,15 @@ class TestCheckValidity:
         assert report.verdict == "countermodel"
         assert report.valuation.to_sets() == {"x": []}
         # the classic witness x = {2} fails exactly at the middle world
-        assert Evaluator(frame).statement_gap(stmt, {"x": 0b100}) == 0b010
+        assert run(Program((stmt,)), int_ops(frame), {"x": 0b100}.get)[-1] == 0b010
 
     def test_countermodels_reverify(self, store):
         frame = make_chain(4, (1,))
         stmt = eq(store.dia(store.var("x")), store.var("x"))
         report = check_validity(frame, stmt)
         assert report.verdict == "countermodel"
-        gap = Evaluator(frame).statement_gap(
-            stmt, {"x": report.valuation.bits("x")})
-        assert gap != 0
+        gap = run(Program((stmt,)), int_ops(frame), {"x": report.valuation.bits("x")}.get)
+        assert gap[-1] != 0
 
     def test_explicit_variable_list_controls_the_space(self, store):
         frame = make_chain(2)
@@ -71,6 +70,14 @@ class TestCheckValidity:
         stmt = eq(store.var("x"), store.bot())
         for bad in (["y"], [], ["x", "y", "x"], ["x", "", "X"], ["x", 1]):
             with pytest.raises(InputError):
+                check_validity(make_chain(2), stmt, bad)
+
+    def test_variable_list_refuses_a_str(self, store):
+        # a str once split into letters: "yx" read as ["y", "x"] and "x1"
+        # refused as "got '1'"
+        stmt = leq(store.var("x"), store.var("y"))
+        for bad in ("yx", "x1", "x"):
+            with pytest.raises(InputError, match="list of names, not a str"):
                 check_validity(make_chain(2), stmt, bad)
 
     def test_cap_refusal_and_sampling(self, store):

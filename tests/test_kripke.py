@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
-from modalbench.kripke import (Evaluator, Frame, Model, Valuation,
+from modalbench.kripke import (Frame, Model, Program, Valuation,
                                bits_to_worlds, check_world, check_world_count,
                                evaluate, evaluate_orbit, frame_from_edges,
                                frame_from_json, frame_to_json, holds_globally,
                                int_ops, load_frame, program_of, run,
                                valuation_from_json, worlds_to_bits)
 from modalbench.chains import enumerate_chains, lemma_valuation, make_chain
-from modalbench.syntax import parse_formula
+from modalbench.syntax import parse_formula, parse_statement
 from modalbench.terms import TermStore, chain_term, diamond_term, eq, iterate, leq
 from modalbench.vector import SpaceEvaluator
 
@@ -127,19 +127,6 @@ def test_numbers_too_long_to_print_are_refused_by_their_size(call, error):
     assert len(str(refusal.value)) < 100
 
 
-def test_a_model_answers_a_term_again_from_its_memo(store):
-    model = Model(make_chain(3), lemma_valuation(1))
-    zero, mask, dia, box = model.ops
-    calls = []
-    model.ops = (zero, mask, lambda a: calls.append(a) or dia(a),
-                 lambda a: calls.append(a) or box(a))
-    t = parse_formula("tpow(3)", store)
-    first = evaluate(model, t)
-    assert calls
-    made = len(calls)
-    assert evaluate(model, t) == first and len(calls) == made
-
-
 def test_world_counts_past_the_cap_are_cap_refusals():
     # lemma_valuation(40) blamed world 65 before; the 81-world chain is the cause
     with pytest.raises(CapExceededError, match="^81 worlds exceeds the 64-world cap$"):
@@ -149,9 +136,21 @@ def test_world_counts_past_the_cap_are_cap_refusals():
 def test_evaluator_refuses_out_of_frame_assignments(store):
     # the assignment was masked to the frame before, answering 1
     with pytest.raises(InputError, match="^x mentions worlds outside the frame$"):
-        Evaluator(make_chain(2)).evaluate(store.var("x"), {"x": 0b1101})
+        Model(make_chain(2)).evaluate(store.var("x"), {"x": 0b1101})
     with pytest.raises(InputError, match="^x must be an int, not bool$"):
-        Evaluator(make_chain(2)).evaluate(store.var("x"), {"x": True})
+        Model(make_chain(2)).evaluate(store.var("x"), {"x": True})
+
+
+def test_a_model_refuses_a_statement(store):
+    # kripke.evaluate answered a statement with its gap before: here 1, the
+    # world where x <= y fails, as if the statement held there
+    model = Model(make_chain(2), Valuation({"x": 1, "y": 0}))
+    stmt = parse_statement("x <= y", store)
+    with pytest.raises(InputError, match="holds_globally"):
+        evaluate(model, stmt)
+    with pytest.raises(InputError, match="holds_globally"):
+        model.evaluate(stmt, {"x": 1})
+    assert not holds_globally(model, stmt)
 
 
 def test_valuation_basics():
@@ -261,6 +260,13 @@ def test_orbit_shape_and_base_check(store):
         evaluate_orbit(model, chain_term(store), "x", 0b1000, 1)
 
 
+@pytest.mark.parametrize("k", [-1, 1.5, "2", True])
+def test_orbit_refuses_a_step_count_that_is_no_count(store, k):
+    # -1 answered [2], True counted as 1, and 1.5 and "2" raised a raw TypeError
+    with pytest.raises(InputError, match="^iteration count must be"):
+        evaluate_orbit(Model(make_chain(2), Valuation()), diamond_term(store), "x", 0b10, k)
+
+
 def test_orbit_refuses_a_pivot_that_is_not_a_name(store):
     with pytest.raises(InputError, match="variable names match"):
         evaluate_orbit(Model(make_chain(2), Valuation()), diamond_term(store), "X", 0, 2)
@@ -276,21 +282,21 @@ def test_holds_globally(store):
 
 class TestEvaluator:
     def test_projection_memo_ignores_irrelevant_variables(self, store):
-        ev = Evaluator(make_chain(3))
+        ev = Model(make_chain(3))
         t = store.box(store.var("x"))
         a = ev.evaluate(t, {"x": 0b100, "y": 0})
         b = ev.evaluate(t, {"x": 0b100, "y": 0b111})
         assert a == b == 0b110
 
     def test_statement_gap(self, store):
-        ev = Evaluator(make_chain(2))
+        ops = int_ops(make_chain(2))
         x, y = store.var("x"), store.var("y")
-        assert ev.statement_gap(leq(x, y), {"x": 0b11, "y": 0b10}) == 0b01
-        assert ev.statement_gap(eq(x, y), {"x": 0b11, "y": 0b10}) == 0b01
-        assert ev.statement_gap(leq(x, y), {"x": 0b10, "y": 0b11}) == 0
+        assert run(Program((leq(x, y),)), ops, {"x": 0b11, "y": 0b10}.get)[-1] == 0b01
+        assert run(Program((eq(x, y),)), ops, {"x": 0b11, "y": 0b10}.get)[-1] == 0b01
+        assert run(Program((leq(x, y),)), ops, {"x": 0b10, "y": 0b11}.get)[-1] == 0
 
     def test_store_binding(self, store):
-        ev = Evaluator(make_chain(2))
+        ev = Model(make_chain(2))
         other = TermStore()
         assert ev.evaluate(store.top(), {}) == ev.evaluate(other.top(), {}) == 0b11
         assert ev.evaluate(store.dia(store.var("x")), {"x": 0b10}) == 0b01
@@ -304,7 +310,7 @@ class TestEvaluator:
         lhs = build_term(plan, store)
         stmt = data.draw(st.sampled_from([leq, eq]))(lhs, store.var("y"))
         sets = {n: set(bits_to_worlds(b)) for n, b in assignment.items()}
-        assert Evaluator(frame).statement_gap(stmt, assignment) == \
+        assert run(Program((stmt,)), int_ops(frame), assignment.get)[-1] == \
             worlds_to_bits(naive_fails(frame, sets, stmt))
 
 
@@ -314,7 +320,7 @@ def test_all_evaluation_paths_agree_on_a_deep_iterate(n):
     assignment = {name: valuation.bits(name) for name in ("x", "y", "z")}
     t = parse_formula("tpow(200)", TermStore())
     scalar = evaluate(Model(frame, valuation), t)
-    per_assignment = Evaluator(frame).evaluate(t, assignment)
+    per_assignment = Model(frame).evaluate(t, assignment)
     # the plane backend at one assignment: no variable axes, one word per
     # world, all ones at the worlds of the variable's set
     ev = SpaceEvaluator(frame, [])

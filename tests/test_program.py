@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from modalbench import terms
 from modalbench.algebra import check_validity
 from modalbench.chains import lemma_valuation, make_chain
-from modalbench.kripke import (Evaluator, Frame, Program, bits_to_worlds, int_ops,
+from modalbench.kripke import (Frame, Model, Program, bits_to_worlds, int_ops,
                                program_of, run, worlds_to_bits)
 from modalbench.syntax import parse_formula
 from modalbench.terms import TermStore, eq, leq, walk
@@ -84,7 +84,7 @@ def test_a_late_premise_reads_the_nodes_it_shares_with_the_conclusion(store):
         run(program, ops, assignment.get, values)
         assert len(calls) == 3  # only the premise's diamond is new
         for stmt, at in zip((conclusion, premise), program.roots):
-            assert values[at] == Evaluator(frame).statement_gap(stmt, assignment)
+            assert values[at] == run(Program((stmt,)), int_ops(frame), assignment.get)[-1]
         calls.clear()
 
 
@@ -92,15 +92,19 @@ def test_a_statement_outside_the_plan_runs_its_own_program(store):
     frame, names = Frame(3, (0b110, 0b100, 0b100)), ["x", "y"]
     inner = store.box(store.or_(store.var("x"), store.var("y")))
     planned = leq(store.dia(store.dia(inner)), store.var("y"))
-    aside = eq(inner, store.dia(inner))  # its lhs is dropped inside the plan
     ev = SpaceEvaluator(frame, names)
     assert first_countermodel(ev, [], planned) is not None
     block = ((1, 3), (0, 8))
-    for stmt in (planned, aside, planned):
-        got = world_sets(ev.gap(stmt, block), (2, 8))
+    program = Program((planned,))
+    for _ in range(2):  # drawn again, the gap is run again
+        got = world_sets(ev.gap(planned, block), (2, 8))
         for i, j in np.ndindex(2, 8):
             assignment = {"x": 1 + i, "y": j}
-            assert int(got[i, j]) == Evaluator(frame).statement_gap(stmt, assignment)
+            assert int(got[i, j]) == run(program, int_ops(frame), assignment.get)[-1]
+    # inner is dropped inside the plan; evaluate runs the term's own program
+    got = world_sets(ev.evaluate(inner), (8, 8))
+    for i, j in np.ndindex(8, 8):
+        assert int(got[i, j]) == Model(frame).evaluate(inner, {"x": i, "y": j})
 
 
 def test_an_argument_read_twice_is_dropped_once(store):
@@ -113,7 +117,7 @@ def test_an_argument_read_twice_is_dropped_once(store):
     ev = SpaceEvaluator(frame, ["x"])
     values = run(program_of(both), ev.ops, ev._leaf)
     assert values[first[-1]] is None
-    assert world_sets(values[-1], (8,)).tolist() == [Evaluator(frame).evaluate(a, {"x": v})
+    assert world_sets(values[-1], (8,)).tolist() == [Model(frame).evaluate(a, {"x": v})
                                                      for v in range(8)]
 
 
@@ -123,7 +127,7 @@ def test_an_argument_read_twice_is_dropped_once(store):
 def test_constant_leaves_on_both_backends(store, text, holds):
     frame = make_chain(3)
     t = parse_formula(text, store)
-    assert Evaluator(frame).evaluate(t, {}) == holds
+    assert Model(frame).evaluate(t, {}) == holds
     out = SpaceEvaluator(frame, ["x"]).evaluate(t)
     assert out.shape == (3, 1) and world_sets(out, (1,)).tolist() == [holds]  # no variable axis
 
@@ -136,7 +140,7 @@ def test_long_terms_compile_and_run_without_recursion(store, build):
     t = build(store)
     frame, valuation = make_chain(3), lemma_valuation(1)
     assignment = {name: valuation.bits(name) for name in ("x", "y", "z")}
-    scalar = Evaluator(frame).evaluate(t, assignment)
+    scalar = Model(frame).evaluate(t, assignment)
     vector = world_sets(SpaceEvaluator(frame, ["x", "y", "z"]).evaluate(t), (8, 8, 8))
     assert int(vector[tuple(assignment[n] for n in "xyz")]) == scalar
     assert len(program_of(t).columns[0]) == terms.node_count(t)
@@ -146,7 +150,7 @@ def test_no_array_is_reachable_from_a_cached_program(store):
     stmt = parse_formula("tpow(2)", store), parse_formula("tpow(3)", store)
     frame = make_chain(3)
     SpaceEvaluator(frame, ["x", "y", "z"]).evaluate(stmt[0])
-    Evaluator(frame).evaluate(stmt[1], {})
+    Model(frame).evaluate(stmt[1], {})
     assert check_validity(frame, eq(*stmt), ["x", "y", "z"]).verdict == "valid"
     nodes = {t for side in stmt for t in walk(side)}
     programs = [t._program for t in nodes if t._program is not None]

@@ -18,7 +18,7 @@ from modalbench.algebra import check_validity
 from modalbench.chains import make_chain
 from modalbench.consequence import build_sigma_pi
 from modalbench.errors import CapExceededError
-from modalbench.kripke import Evaluator, Frame, bits_to_worlds
+from modalbench.kripke import Frame, Program, bits_to_worlds, int_ops, run
 from modalbench.syntax import parse_statement
 from modalbench.terms import TermStore, chain_term, eq, leq, node_count, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
@@ -241,9 +241,10 @@ def test_evaluate_after_a_scan_reads_the_whole_space(store, monkeypatch):
     names = ["x", "y", "z"]
     ev = SpaceEvaluator(frame, names)
     assert first_countermodel(ev, [], stmt) is None
-    fresh = SpaceEvaluator(frame, names)
+    fresh, whole = SpaceEvaluator(frame, names), ((0, 4),) * 3
+    fresh.plan([stmt])
     for got, want in ((ev.evaluate(step), fresh.evaluate(step)),
-                      (ev.gap(stmt), fresh.gap(stmt))):
+                      (ev.gap(stmt, whole), fresh.gap(stmt, whole))):
         assert got.shape == want.shape and (got == want).all()
     assert ev.evaluate(step).shape == (2, 4, 4, 1)  # worlds, x, y, one word for z
 
@@ -321,7 +322,7 @@ def test_reported_gap_matches_scalar_evaluator(store):
     assert hit is not None
     idx, gap = hit
     assignment = decode_index(idx, names, frame.worlds)
-    assert gap == Evaluator(frame).statement_gap(stmt, assignment)
+    assert gap == run(Program((stmt,)), int_ops(frame), assignment.get)[-1]
 
 
 def test_no_variables_case(store):
@@ -382,7 +383,7 @@ def test_a_premise_scan_computes_each_modal_node_once_per_block(store, monkeypat
             return modality(a)
         return call
 
-    def gap(stmt, block=None):
+    def gap(stmt, block):
         block_of.append(block)
         drawn.setdefault(block, [[], 0])[0].append(stmt)
         return real_gap(stmt, block)
@@ -399,16 +400,16 @@ def test_a_premise_scan_computes_each_modal_node_once_per_block(store, monkeypat
 
 
 def test_a_statement_outside_the_plan_gets_its_value(store, monkeypatch):
-    # after a scan each block starts from the plan's counts; a side of this
-    # statement is a node the plan drops once its last planned parent is computed
+    # after a scan each block starts from the plan's counts; inner is a node
+    # the plan drops once its last planned parent is computed
     monkeypatch.setattr(vector, "_BLOCK_ENTRIES", 4)
     frame, names = Frame(3, (0b110, 0b100, 0b100)), ["x", "y"]
     inner = store.box(store.or_(store.var("x"), store.var("y")))
     planned = leq(store.dia(store.dia(inner)), store.var("y"))
-    aside = eq(store.dia(inner), inner)
     ev = SpaceEvaluator(frame, names)
     first_countermodel(ev, [], planned)
-    fresh = SpaceEvaluator(frame, names)
-    for stmt in (aside, planned, aside):
-        assert (ev.gap(stmt) == fresh.gap(stmt)).all()
+    fresh, whole = SpaceEvaluator(frame, names), ((0, 8),) * 2
+    fresh.plan([planned])
+    for _ in range(2):
+        assert (ev.gap(planned, whole) == fresh.gap(planned, whole)).all()
     assert (ev.evaluate(inner) == fresh.evaluate(inner)).all()

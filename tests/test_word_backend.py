@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import modalbench.vector as vector
 from modalbench.algebra import check_validity
 from modalbench.chains import make_chain
-from modalbench.kripke import Evaluator, Program, frame_from_edges, int_ops, run
+from modalbench.kripke import Model, Program, frame_from_edges, int_ops, run
 from modalbench.syntax import parse_statement
 from modalbench.terms import TermStore, eq, leq, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
@@ -75,7 +75,9 @@ def test_the_plane_run_matches_the_int_run_per_assignment(data):
     if n and data.draw(st.booleans()):  # the packed range anywhere
         lo = data.draw(st.integers(0, size - lengths[-1]))
         block[-1] = (lo, lo + lengths[-1])
-    got = world_sets(SpaceEvaluator(frame, names).gap(stmt, tuple(block)), lengths)
+    ev = SpaceEvaluator(frame, names)
+    ev.plan([stmt])
+    got = world_sets(ev.gap(stmt, tuple(block)), lengths)
     for at in np.ndindex(lengths or (1,)):
         assignment = {name: lo + i for name, (lo, _), i in zip(names, block, at)}
         assert int(got[at]) == int_gaps(frame, [stmt], assignment)[0]
@@ -120,7 +122,7 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
     for density in (0.1, 0.5, 0.9):
         frame = random_frame(worlds, density, rng)
         ev = SpaceEvaluator(frame, ["x"])
-        scalar = Evaluator(frame)
+        scalar = Model(frame)
         if worlds <= 9:
             windows = [(0, ev.size)]
         else:
@@ -128,6 +130,7 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
                 (lo, lo + 64) for lo in (rng.randrange(ev.size - 64) for _ in range(2))]
         for lo, hi in windows:
             for t in modal:
+                ev.plan([eq(t, store.bot())])
                 got = ev.gap(eq(t, store.bot()), ((lo, hi),))
                 assert got.dtype == np.uint64 and got.shape == (worlds, -(-(hi - lo) // 64))
                 assert world_sets(got, (hi - lo,)).tolist() == [
@@ -179,13 +182,12 @@ def test_sampled_check_on_64_worlds_reports_the_first_failing_row(store):
     names, seed = ["x"], 3
     report = check_validity(frame, stmt, names, samples=1000, seed=seed)
     assert report.verdict == "countermodel" and report.valuations_tried > 2
-    scalar = Evaluator(frame)
     assignment = {"x": report.valuation.bits("x")}
-    assert scalar.statement_gap(stmt, assignment) != 0
+    assert int_gaps(frame, [stmt], assignment)[0] != 0
     rng = random.Random(seed)
     earlier = [0, frame.mask] + [rng.getrandbits(64)
                                  for _ in range(report.valuations_tried - 3)]
-    assert all(scalar.statement_gap(stmt, {"x": v}) == 0 for v in earlier)
+    assert all(int_gaps(frame, [stmt], {"x": v})[0] == 0 for v in earlier)
     assert rng.getrandbits(64) == assignment["x"]
 
 
