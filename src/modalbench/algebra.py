@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import CapExceededError, InputError, check_count
-from .kripke import Frame, Model, Valuation, bits_to_worlds, int_ops
+from .errors import CapExceededError, InputError, check_count, check_type
+from .kripke import Frame, Valuation, bits_to_worlds, int_ops, lane_ops, program_of, run
 from .terms import Statement, Term, check_name, eq, free_vars, iterate, statement_vars
 from .vector import (SpaceEvaluator, decode_index, first_countermodel,
                      first_sampled_countermodel)
@@ -152,53 +153,97 @@ def fixpoint_index(frame: Frame, term: Term, pivot: str, base: int,
     it stops moving.
 
     The map must be increasing and monotone in the pivot; both are checked
-    empirically over every pivot value first (single-bit extensions suffice
-    for monotonicity), and ineligible terms are refused. Frames too large for
-    that precheck are refused outright. The pivot must be a variable name,
-    and the base and every parameter, sorted by name, world sets of the
-    frame."""
+    over every pivot value first (single-world extensions suffice for
+    monotonicity), and ineligible terms are refused, naming the lowest pivot
+    value that fails and then the lowest world. The precheck is one run of
+    the term's program on the lane backend with one lane per pivot value, so
+    one image holds the map's whole table; the orbit is read off it too.
+    Frames too large for that precheck are refused outright. The term must be
+    a Term, the pivot a variable name, params a Valuation or None, and the
+    base and every parameter, sorted by name, world sets of the frame."""
     if frame.worlds > PRECHECK_WORLD_CAP:
         raise CapExceededError(
             f"monotonicity precheck enumerates 2^{frame.worlds} pivot values; "
             f"cap is {PRECHECK_WORLD_CAP} worlds")
+    check_type(term, Term, "fixpoint term")
     check_name(pivot)
     frame.check(base, "base bitset")
-    params = params or Valuation()
+    params = Valuation() if params is None else check_type(params, Valuation, "parameters")
     for name in sorted(params.names()):
         frame.check(params.bits(name), f"parameter {name!r}")
-    assignment = {name: params.bits(name) for name in free_vars(term) if name != pivot}
-    model = Model(frame)
+    worlds = frame.worlds
+    lanes = 1 << worlds
+    lane = (1 << lanes) - 1
+    offsets = range(0, worlds * lanes, lanes)
+    pivot_planes, keeps = _pivot_lanes(worlds)
 
-    def step(a: int) -> int:
-        assignment[pivot] = a
-        return model.evaluate(term, assignment)
+    def leaf(name: str) -> int:  # a parameter is a full plane at each of its worlds
+        if name == pivot:
+            return pivot_planes
+        return sum(lane << offsets[w] for w in bits_to_worlds(params.bits(name)))
 
-    table = [step(a) for a in range(1 << frame.worlds)]
-    for a, image in enumerate(table):
-        if a & ~image:
-            raise InputError(
-                f"term is not increasing in {pivot!r} on this frame: "
-                f"pivot bitset {a:#x} maps to {image:#x}")
-    mask = frame.mask
-    for a in range(1 << frame.worlds):
-        rest = mask & ~a
-        while rest:
-            low = rest & -rest
-            if table[a] & ~table[a | low]:
-                raise InputError(
-                    f"term is not monotone in {pivot!r} on this frame: "
-                    f"adding world {low.bit_length() - 1} to {a:#x} loses output")
-            rest ^= low
+    image = run(program_of(term), lane_ops(frame, lanes), leaf)[-1]
+    planes = [image >> off & lane for off in offsets]
+
+    def step(a: int) -> int:  # the map at pivot value a: lane a of each plane
+        return sum((plane >> a & 1) << w for w, plane in enumerate(planes))
+
+    def lowest(lost: int) -> int:  # the lowest lane set in any plane
+        lanes_hit = 0
+        for off in offsets:
+            lanes_hit |= lost >> off
+        lanes_hit &= lane
+        return (lanes_hit & -lanes_hit).bit_length() - 1
+
+    grown = pivot_planes & ~image
+    if grown:
+        a = lowest(grown)
+        raise InputError(
+            f"term is not increasing in {pivot!r} on this frame: "
+            f"pivot bitset {a:#x} maps to {step(a):#x}")
+    first = None  # (pivot value, world) of the lowest monotonicity failure
+    for j, keep in enumerate(keeps):  # lane a against lane a + 2^j, for a without j
+        lost = image & ~(image >> (1 << j)) & keep
+        if lost:
+            a = lowest(lost)
+            if first is None or a < first[0]:
+                first = (a, j)
+    if first is not None:
+        raise InputError(
+            f"term is not monotone in {pivot!r} on this frame: "
+            f"adding world {first[1]} to {first[0]:#x} loses output")
 
     orbit = [base]
     while True:
-        nxt = table[orbit[-1]]
+        nxt = step(orbit[-1])
         if nxt == orbit[-1]:
             break
         orbit.append(nxt)
-        if len(orbit) > frame.worlds + 1:  # increasing maps stabilize by then
+        if len(orbit) > worlds + 1:  # increasing maps stabilize by then
             raise RuntimeError("fixpoint iteration exceeded its bound")
     return FixpointResult(len(orbit) - 1, orbit[-1], tuple(orbit))
+
+
+@lru_cache(maxsize=8)
+def _pivot_lanes(worlds: int) -> tuple[int, tuple[int, ...]]:
+    """The precheck's constants on a frame of this many worlds, one lane per
+    pivot value a: the pivot, whose lane a of world w's plane is set when w
+    is in a; and for each world j, the lanes a without j in every plane.
+    Each plane pattern is one block of 2^w ones above 2^w zeros, times a
+    repeater, so it costs O(1) big-int operations rather than one per lane."""
+    lanes = 1 << worlds
+    lane = (1 << lanes) - 1
+    pivot, keeps = 0, []
+    for w in range(worlds):
+        block = 1 << w
+        plane = ((1 << block) - 1 << block) * (lane // ((1 << 2 * block) - 1))
+        pivot |= plane << w * lanes
+        keep, width = lane ^ plane, lanes  # copied into every plane by doubling
+        while width < worlds * lanes:
+            keep |= keep << width
+            width *= 2
+        keeps.append(keep & (1 << worlds * lanes) - 1)
+    return pivot, tuple(keeps)
 
 
 def uniform_stabilization(frames: list[Frame], term: Term, pivot: str, max_n: int = 8, *,

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the int rules
-behind every count, cap, bound and world number (check_int, check_count)."""
+"""Exception and warning types shared across the package, the int rules
+behind every count, cap, bound and world number (check_int, check_count),
+and the type rule of the library's doors (check_type)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,13 @@ def check_int(value: object, what: str) -> int:
     if type(value) is int:
         return value
     raise InputError(f"{what} must be an int, not {type(value).__name__}")
+
+
+def check_type(value: object, kind: type, what: str):
+    """value, if an instance of kind; what names it in the refusal."""
+    if isinstance(value, kind):
+        return value
+    raise InputError(f"{what} must be a {kind.__name__}, not {type(value).__name__}")
 
 
 def check_count(value: object, what: str) -> int:

@@ -10,11 +10,16 @@ dual of diamond. It runs a Program, terms or statements compiled once into
 a flat list of instructions, children first (a term keeps its own,
 program_of), and is generic in its backend, which supplies diamond and box.
 Each instruction marks the arguments it is the last to read, and run drops
-their values right after that read. Model, the one scalar evaluator, runs
-them on ints, each modality a loop over the successor sets; the vectorized
-SpaceEvaluator in vector.py runs them on bit planes, one per world with a
-bit per valuation, each modality one reduction per world over its
-successors' planes, and the drops keep its live arrays to the DAG's width.
+their values right after that read. There are three backends:
+- ints (int_ops): one world set per int, each modality a loop over the
+  successor sets. Model, the one scalar evaluator, runs on them.
+- lanes (lane_ops): many assignments in one int, a plane of lanes per world,
+  each modality one OR or AND of successor planes per world.
+  algebra.fixpoint_index runs its step once on them, one lane per pivot value.
+- planes (vector.py): uint64 bit planes, one per world with a bit per
+  valuation, each modality one reduction per world over its successors'
+  planes. The vectorized SpaceEvaluator runs on them, and the drops keep its
+  live arrays to the DAG's width.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints
@@ -34,7 +39,7 @@ from functools import cached_property
 
 from . import terms
 from .errors import (CapExceededError, InputError, MissingVariableWarning, check_count,
-                     check_int, shown)
+                     check_int, check_type, shown)
 from .terms import AND, BOT, BOX, DIA, EQ, IMP, LEQ, NOT, OR, TOP, VAR, Statement, Term
 
 MAX_WORLDS = 64
@@ -213,7 +218,8 @@ class Model:
     __slots__ = ("frame", "valuation", "ops", "_warned")
 
     def __init__(self, frame: Frame, valuation: Valuation | None = None):
-        self.valuation = Valuation() if valuation is None else valuation
+        self.valuation = (Valuation() if valuation is None
+                          else check_type(valuation, Valuation, "valuation"))
         for name in sorted(self.valuation.names()):
             frame.check(self.valuation.bits(name), f"valuation of {name!r}")
         self.frame = frame
@@ -227,8 +233,10 @@ class Model:
         empty with a one-shot warning. With one they read the assignment,
         each value a world set of the frame; a missing one is empty, silently,
         since enumeration callers control the variable set."""
-        if isinstance(term, Statement):
-            raise InputError("evaluate takes a term; holds_globally decides a statement")
+        if not isinstance(term, Term):
+            raise InputError(f"evaluate takes a Term, not {type(term).__name__}"
+                             + ("; holds_globally decides a statement"
+                                if isinstance(term, Statement) else ""))
         check = self.frame.check  # the name is the label: formatting one per read cost more
         leaf = self._leaf if assignment is None else (
             lambda name: check(assignment.get(name, 0), name))
@@ -265,6 +273,43 @@ def int_ops(frame: Frame) -> tuple:
         return out
 
     return 0, mask, dia, box
+
+
+def lane_ops(frame: Frame, lanes: int) -> tuple:
+    """The lane backend of run: int_ops widened to many assignments at once.
+    A value is one int whose bits [w*lanes, (w+1)*lanes) are world w's plane,
+    lane a of each plane belonging to assignment a, so each Boolean
+    connective acts on every lane in one int operation. dia ORs, and box
+    ANDs, the planes of a world's successors into that world's plane, so a
+    world without successors gets an empty plane from dia and a full one
+    from box. int_ops stays the one-lane backend: it is faster on one lane."""
+    if check_int(lanes, "lane count") < 1:
+        raise InputError(f"lane count must be positive, got {shown(lanes)}")
+    lane = (1 << lanes) - 1
+    offsets = range(0, frame.worlds * lanes, lanes)
+    succs = tuple(bits_to_worlds(s) for s in reversed(frame.succ))  # the top plane first
+
+    def dia(a: int) -> int:
+        planes = [a >> off & lane for off in offsets]
+        out = 0
+        for ss in succs:
+            plane = 0
+            for s in ss:
+                plane |= planes[s]
+            out = out << lanes | plane
+        return out
+
+    def box(a: int) -> int:
+        planes = [a >> off & lane for off in offsets]
+        out = 0
+        for ss in succs:
+            plane = lane
+            for s in ss:
+                plane &= planes[s]
+            out = out << lanes | plane
+        return out
+
+    return 0, (1 << frame.worlds * lanes) - 1, dia, box
 
 
 _KINDS = {kind: kind for kind in (VAR, TOP, BOT, NOT, AND, OR, IMP, DIA, BOX, EQ, LEQ)}
@@ -346,8 +391,9 @@ def run(program: Program, ops: tuple, leaf: Callable, values: list | None = None
     backend: zero and mask are the empty and the full world set, dia maps a
     value to the worlds with a successor in it, and box to the worlds whose
     successors all lie in it. The Boolean connectives are the same operators
-    on every backend: ints for the scalar evaluators (int_ops), uint64 bit
-    planes for the vectorized one (vector._plane_ops).
+    on every backend: ints for the scalar evaluator (int_ops), lane-packed
+    ints for the fixpoint precheck (lane_ops), uint64 bit planes for the
+    vectorized one (vector._plane_ops).
     leaf(name) gives a variable's value. A statement's gap is the worlds
     where it fails: where the sides differ for an equation, where lhs holds
     without rhs for an inequation."""
@@ -396,22 +442,30 @@ def evaluate(model: Model, term: Term) -> int:
 def evaluate_orbit(model: Model, term: Term, pivot: str, base_bits: int, k: int) -> list[int]:
     """The k+1 bitsets of the semantic iteration: start at base_bits, then
     repeatedly evaluate the term with the pivot bound to the previous value.
-    The pivot must be a variable name, k a count and the base a world set of
-    the frame."""
+    The term must be a Term, the pivot a variable name, k a count and the
+    base a world set of the frame. Every other read is one too: the
+    parameters come from the model's checked valuation and each iterate is a
+    value of run on the frame, so the steps read the assignment unchecked."""
+    check_type(term, Term, "orbit term")
     terms.check_name(pivot)
     check_count(k, "iteration count")
     orbit = [model.frame.check(base_bits, "base bitset")]
     assignment = {name: model.valuation.bits(name)
                   for name in terms.free_vars(term) if name != pivot}
+    program, ops, leaf = program_of(term), model.ops, assignment.__getitem__
     for _ in range(k):
         assignment[pivot] = orbit[-1]
-        orbit.append(model.evaluate(term, assignment))
+        orbit.append(run(program, ops, leaf)[-1])
     return orbit
 
 
 def holds_globally(model: Model, stmt: Statement) -> bool:
     """Truth of a statement at every world: equality of the two bitsets for
     equations, bitset inclusion for inequations."""
+    if not isinstance(stmt, Statement):
+        raise InputError(f"holds_globally takes a Statement, not {type(stmt).__name__}"
+                         + ("; Model.evaluate evaluates a term" if isinstance(stmt, Term)
+                            else ""))
     return run(Program((stmt,)), model.ops, model._leaf)[-1] == 0
 
 

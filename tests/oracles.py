@@ -80,3 +80,33 @@ def naive_first_countermodel(frame: Frame, names: list[str],
         if bad:
             return idx, sum(1 << w for w in bad)
     return None
+
+
+def naive_fixpoint(frame: Frame, term: Term, pivot: str, base: int,
+                   params: dict[str, int]):
+    """The orbit of the term's map from base as a tuple of bitsets, or the
+    refusal that fixpoint_index must give, as its text. The map's table
+    comes from naive_eval at every pivot value; then the loops run in the
+    order that fixes which refusal is named: increasing at each value, then
+    monotone at each value and each added world, lowest first."""
+    worlds = range(frame.worlds)
+
+    def step(a: int) -> int:
+        sets = {n: {w for w in worlds if b >> w & 1} for n, b in params.items()}
+        sets[pivot] = {w for w in worlds if a >> w & 1}
+        return sum(1 << w for w in naive_eval(frame, sets, term))
+
+    table = [step(a) for a in range(1 << frame.worlds)]
+    for a, image in enumerate(table):
+        if a & ~image:
+            return (f"term is not increasing in {pivot!r} on this frame: "
+                    f"pivot bitset {a:#x} maps to {image:#x}")
+    for a in range(1 << frame.worlds):
+        for j in worlds:
+            if not a >> j & 1 and table[a] & ~table[a | 1 << j]:
+                return (f"term is not monotone in {pivot!r} on this frame: "
+                        f"adding world {j} to {a:#x} loses output")
+    orbit = [base]
+    while table[orbit[-1]] != orbit[-1]:
+        orbit.append(table[orbit[-1]])
+    return tuple(orbit)

@@ -19,8 +19,8 @@ from modalbench.syntax import parse_formula, parse_statement
 from modalbench.terms import (TermStore, boxdot_power, chain_term, diamond_term,
                               eq, iterate, leq, statement_vars)
 
-from oracles import naive_fails
-from strategies import frames
+from oracles import naive_fails, naive_fixpoint
+from strategies import build_term, frames, term_plans, valuations_for
 
 
 class TestCheckValidity:
@@ -238,6 +238,21 @@ class TestFixpointIndex:
         t = parse_formula("x | []~x", store)
         with pytest.raises(InputError, match="not monotone"):
             fixpoint_index(make_chain(2), t, "x", 0)
+
+    @given(data=st.data(), frame=frames(0, 5), plan=term_plans())
+    def test_agrees_with_the_naive_precheck(self, data, frame, plan):
+        # x | plan is increasing, so most draws reach the monotone check
+        store = TermStore()
+        term = store.make("or", (store.var("x"), build_term(plan, store)))
+        params = data.draw(valuations_for(frame))
+        base = data.draw(st.integers(0, frame.mask))
+        want = naive_fixpoint(frame, term, "x", base,
+                              {n: params.bits(n) for n in params.names()})
+        try:
+            got = fixpoint_index(frame, term, "x", base, params).orbit
+        except InputError as refusal:
+            got = str(refusal)
+        assert got == want
 
     def test_refuses_large_frames_and_bad_bases(self, store):
         big = Frame(17, (0,) * 17)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from modalbench.algebra import fixpoint_index
 from modalbench.errors import CapExceededError, InputError, MissingVariableWarning
 from modalbench.kripke import (Frame, Model, Program, Valuation,
                                bits_to_worlds, check_world, check_world_count,
@@ -151,6 +152,30 @@ def test_a_model_refuses_a_statement(store):
     with pytest.raises(InputError, match="holds_globally"):
         model.evaluate(stmt, {"x": 1})
     assert not holds_globally(model, stmt)
+
+
+_CHAIN = make_chain(2)
+_STORE = TermStore()
+_STEP = diamond_term(_STORE)
+
+
+@pytest.mark.parametrize("call, expected", [
+    # a raw AttributeError before
+    (lambda: fixpoint_index(_CHAIN, eq(_STEP, _STEP), "x", 0), "Term, not Statement"),
+    (lambda: fixpoint_index(_CHAIN, "x", "x", 0), "Term, not str"),
+    (lambda: fixpoint_index(_CHAIN, _STEP, "x", 0, {"y": 1}), "Valuation, not dict"),
+    (lambda: evaluate_orbit(Model(_CHAIN), eq(_STEP, _STEP), "x", 0, 1),
+     "Term, not Statement"),
+    (lambda: Model(_CHAIN, {"x": 1}), "Valuation, not dict"),
+    (lambda: Model(_CHAIN).evaluate("x"), "Term, not str"),
+    # answered False before, though x holds at both worlds
+    (lambda: holds_globally(Model(_CHAIN, Valuation({"x": 3})), _STORE.var("x")),
+     "Statement, not Term; Model.evaluate"),
+], ids=["fixpoint-statement", "fixpoint-str", "fixpoint-dict-params", "orbit-statement",
+        "model-dict-valuation", "evaluate-str", "holds-globally-term"])
+def test_doors_refuse_the_wrong_type(call, expected):
+    with pytest.raises(InputError, match=expected):
+        call()
 
 
 def test_valuation_basics():
