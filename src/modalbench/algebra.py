@@ -230,7 +230,8 @@ def _pivot_lanes(worlds: int) -> tuple[int, tuple[int, ...]]:
     pivot value a: the pivot, whose lane a of world w's plane is set when w
     is in a; and for each world j, the lanes a without j in every plane.
     Each plane pattern is one block of 2^w ones above 2^w zeros, times a
-    repeater, so it costs O(1) big-int operations rather than one per lane."""
+    repeater, and each mask is copied across the planes by doubling, so the
+    constants cost a few big-int operations per world, not one per lane."""
     lanes = 1 << worlds
     lane = (1 << lanes) - 1
     pivot, keeps = 0, []
