@@ -38,19 +38,18 @@ class ChainSpec:
         for p in self.reflexive_points:
             check_world(p, self.size)
 
+    def frame(self) -> Frame:
+        """The chain's frame: edges i -> j for i < j, plus a loop at each
+        reflexive point."""
+        full = (1 << self.size) - 1
+        loops = self.reflexive_points
+        return Frame(self.size, tuple(full >> (w + 1) << (w + 1) | (w in loops) << w
+                                      for w in range(self.size)))
+
 
 def make_chain(size: int, reflexive: Iterable[int] = ()) -> Frame:
-    """The frame for ChainSpec(size, reflexive): edges i -> j for i < j, plus
-    a loop at each listed point."""
-    spec = ChainSpec(size, frozenset(reflexive))
-    full = (1 << size) - 1
-    succ = []
-    for w in range(size):
-        up = full >> (w + 1) << (w + 1)
-        if w in spec.reflexive_points:
-            up |= 1 << w
-        succ.append(up)
-    return Frame(size, tuple(succ))
+    """The frame for ChainSpec(size, reflexive)."""
+    return ChainSpec(size, frozenset(reflexive)).frame()
 
 
 def enumerate_chains(size: int) -> list[Frame]:
@@ -127,26 +126,24 @@ def check_lemma(n: int, reflexive: Iterable[int] = ()) -> LemmaCertificate:
     all four pieces of evidence land, for any choice of self-loops."""
     valuation = lemma_valuation(n)
     spec = ChainSpec(2 * n + 1, frozenset(reflexive))
-    frame = make_chain(spec.size, spec.reflexive_points)
-    model = Model(frame, valuation)
+    model = Model(spec.frame(), valuation)
     t, approximants = _lemma_terms(n + 2)
 
     orbit = evaluate_orbit(model, t, "x", valuation.bits("x"), n + 1)
-    full = frame.mask
+    full = model.frame.mask
     fails_at_zero = not orbit[n] & 1
     global_next = orbit[n + 1] == full
 
     values = run(approximants, model.ops, valuation.bits, stop=approximants.roots[n + 2] + 1)
     s_global = {m: values[approximants.roots[m]] == full for m in range(n + 3)}
-    claim_table = {
-        level: tuple(w for w in range(0, spec.size, 2) if not orbit[level] >> w & 1)
-        for level in range(n + 1)
-    }
+    even = valuation.bits("y")
+    claim_table = {level: tuple(bits_to_worlds(even & ~orbit[level]))
+                   for level in range(n + 1)}
 
-    valid = (fails_at_zero and global_next
-             and all(s_global[m] for m in range(n + 1, n + 3))
-             and all(set(claim_table[level]) >= {2 * k for k in range(n - level + 1)}
-                     for level in range(n + 1)))
+    # iterate `level` must fail at the even worlds 0, 2, ..., 2(n - level)
+    valid = (fails_at_zero and global_next and s_global[n + 1] and s_global[n + 2]
+             and not any(orbit[level] & even & (2 << 2 * (n - level)) - 1
+                         for level in range(n + 1)))
     return LemmaCertificate(n, spec, valuation, fails_at_zero, global_next,
                             s_global, claim_table, valid)
 

@@ -11,8 +11,10 @@ a flat list of instructions, children first (a term keeps its own,
 program_of), and is generic in its backend, which supplies diamond and box.
 Each instruction marks the arguments it is the last to read, and run drops
 their values right after that read. There are three backends:
-- ints (int_ops): one world set per int, each modality a loop over the
-  successor sets. Model, the one scalar evaluator, runs on them.
+- ints (int_ops): one world set per int. On a chain (Frame.chain_loops)
+  each modality is a closed form in a few int operations, and on every
+  other frame a loop over the successor sets. Model, the one scalar
+  evaluator, runs on them.
 - lanes (lane_ops): many assignments in one int, a plane of lanes per world,
   each modality one OR or AND of successor planes per world.
   algebra.fixpoint_index runs its step once on them, one lane per pivot value.
@@ -35,7 +37,8 @@ import json
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from . import terms
 from .errors import (CapExceededError, InputError, MissingVariableWarning, check_count,
@@ -59,12 +62,33 @@ class Frame:
                              f"not {type(self.succ).__name__}")
         if len(self.succ) != self.worlds:
             raise InputError("successor table length must equal the world count")
-        for w, bits in enumerate(self.succ):
-            self.check(bits, f"successor set of world {w}")
+        # one pass over the table; the walk that names the first bad world
+        # runs only when something is wrong, so the refusals are the per-set ones
+        if set(map(type, self.succ)) - {int} or reduce(or_, self.succ, 0) & ~self.mask:
+            for w, bits in enumerate(self.succ):
+                self.check(bits, f"successor set of world {w}")
 
     @cached_property
     def mask(self) -> int:
         return (1 << self.worlds) - 1
+
+    @cached_property
+    def succ_worlds(self) -> tuple[tuple[int, ...], ...]:
+        """Each world's successors as a tuple of world numbers, ascending."""
+        return tuple(tuple(bits_to_worlds(s)) for s in self.succ)
+
+    @cached_property
+    def chain_loops(self) -> int | None:
+        """The looped worlds, if the frame is a chain: each world's successors
+        are exactly the worlds above it, plus itself where it has a loop.
+        None for every other frame."""
+        loops = 0
+        for w, s in enumerate(self.succ):
+            bit = 1 << w
+            if s & ~bit != self.mask ^ ((bit << 1) - 1):  # the worlds above w
+                return None
+            loops |= s & bit
+        return loops
 
     def check(self, bits: int, what: str) -> int:
         """bits, if an int of worlds of the frame; what names it in the refusal."""
@@ -73,8 +97,7 @@ class Frame:
         return bits
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(w, v) for w in range(self.worlds)
-                for v in bits_to_worlds(self.succ[w])]
+        return [(w, v) for w, vs in enumerate(self.succ_worlds) for v in vs]
 
 
 def check_world_count(worlds: int) -> int:
@@ -252,9 +275,22 @@ class Model:
 
 def int_ops(frame: Frame) -> tuple:
     """The int backend of run: zero, mask, diamond and box on Python ints.
-    Both loop over the successor sets: w is in dia(a) when a meets its
+    On a chain (Frame.chain_loops) both are closed forms: w sees a world of
+    a above it exactly when w lies below a's top world, and itself when it
+    is looped, and box is the dual of that diamond. On every other frame
+    both loop over the successor sets: w is in dia(a) when a meets its
     successors, and in box(a) when they miss the worlds outside a."""
-    mask = frame.mask
+    mask, loops = frame.mask, frame.chain_loops
+    if loops is not None:
+        def dia(a: int) -> int:
+            return ((1 << a.bit_length() - 1) - 1 | a & loops) if a else 0
+
+        def box(a: int) -> int:
+            out = mask ^ a  # the worlds outside box(a) are dia(out)
+            return mask ^ ((1 << out.bit_length() - 1) - 1 | out & loops) if out else mask
+
+        return 0, mask, dia, box
+
     pairs = tuple((s, 1 << w) for w, s in enumerate(frame.succ))
 
     def dia(a: int) -> int:
@@ -287,7 +323,7 @@ def lane_ops(frame: Frame, lanes: int) -> tuple:
         raise InputError(f"lane count must be positive, got {shown(lanes)}")
     lane = (1 << lanes) - 1
     offsets = range(0, frame.worlds * lanes, lanes)
-    succs = tuple(bits_to_worlds(s) for s in reversed(frame.succ))  # the top plane first
+    succs = frame.succ_worlds[::-1]  # the top plane first
 
     def dia(a: int) -> int:
         planes = [a >> off & lane for off in offsets]

@@ -244,8 +244,13 @@ def chain_term(store: TermStore) -> Term:
     """The guarded chain step box(y or box(z or x)) or x in variables x, y, z.
     Increasing and monotone in x; iterating it probes how far information
     propagates down a frame two steps at a time."""
-    x = store.var("x")
-    return store.or_(s_step(x), x)
+    return chain_step(store.var("x"))
+
+
+def chain_step(prev: Term) -> Term:
+    """The chain step applied to prev: box(y or box(z or prev)) or prev, so
+    k applications to x build the k-th iterate of chain_term directly."""
+    return prev.store.or_(s_step(prev), prev)
 
 
 def diamond_term(store: TermStore) -> Term:

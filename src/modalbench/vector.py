@@ -52,7 +52,7 @@ from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .kripke import Frame, Program, bits_to_worlds, program_of, run
+from .kripke import Frame, Program, program_of, run
 from .terms import Statement, Term, statement_vars
 
 if TYPE_CHECKING:
@@ -151,9 +151,8 @@ def _plane_ops(frame: Frame, rank: int) -> tuple:
     gathered rows otherwise."""
     import numpy as np
 
-    rows = [bits_to_worlds(bits) for bits in frame.succ]
     rows = [slice(r[0], r[-1] + 1) if r and r[-1] - r[0] == len(r) - 1
-            else np.array(r, dtype=np.intp) for r in rows]
+            else np.array(r, dtype=np.intp) for r in frame.succ_worlds]
 
     def modal(reduce):
         def step(a: np.ndarray) -> np.ndarray:

@@ -33,6 +33,17 @@ def test_frame_validation():
         Frame(2, (0,))
     with pytest.raises(InputError, match="^successor set of world 1 mentions worlds outside"):
         Frame(2, (0, 0b100))
+    # the first bad set is named, whatever is wrong with the later ones
+    for succ, text in [
+            ((0, True), "successor set of world 1 must be an int, not bool"),
+            ((0, 1.0, True), "successor set of world 1 must be an int, not float"),
+            ((0, "1"), "successor set of world 1 must be an int, not str"),
+            ((-1, 0), "successor set of world 0 mentions worlds outside the frame"),
+            ((0b100, True), "successor set of world 0 mentions worlds outside the frame"),
+            ((0, 0b10, 0b1000), "successor set of world 2 mentions worlds outside the frame")]:
+        with pytest.raises(InputError) as refusal:
+            Frame(len(succ), succ)
+        assert str(refusal.value) == text
 
 
 def test_frame_from_edges_collapses_duplicates():
@@ -225,6 +236,37 @@ def test_int_box_is_not_dia_not_on_every_world_set():
             _, mask, dia, box = int_ops(frame)
             assert [box(a) for a in range(mask + 1)] == [
                 mask ^ dia(mask ^ a) for a in range(mask + 1)]
+
+
+def _assert_int_ops_match_the_oracle(frame, dia_term, box_term):
+    _, mask, dia, box = int_ops(frame)
+    for a in range(mask + 1):
+        sets = {"x": set(bits_to_worlds(a))}
+        assert dia(a) == worlds_to_bits(naive_eval(frame, sets, dia_term)), (frame, a)
+        assert box(a) == worlds_to_bits(naive_eval(frame, sets, box_term)), (frame, a)
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_chain_kernel_agrees_with_the_oracle(store, size):
+    x = store.var("x")
+    for frame in enumerate_chains(size):
+        assert frame.chain_loops == sum(1 << w for w in range(size) if frame.succ[w] >> w & 1)
+        _assert_int_ops_match_the_oracle(frame, store.dia(x), store.box(x))
+
+
+def test_near_chains_take_the_successor_loop(store):
+    x = store.var("x")
+    for size in range(2, 6):
+        for loops in (0, 0b101 & (1 << size) - 1, (1 << size) - 1):
+            chain = make_chain(size, bits_to_worlds(loops))
+            pairs = [(i, j) for i in range(size) for j in range(i)]  # j below i
+            near = ([frame_from_edges(size, chain.edges() + [pair]) for pair in pairs]
+                    + [frame_from_edges(size, [e for e in chain.edges() if e != (j, i)])
+                       for i, j in pairs]
+                    + [frame_from_edges(size, [(j, i) for i, j in chain.edges()])])
+            for frame in near:
+                assert frame.chain_loops is None, frame
+                _assert_int_ops_match_the_oracle(frame, store.dia(x), store.box(x))
 
 
 def test_missing_variable_warns_once(store):

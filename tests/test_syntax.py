@@ -54,9 +54,10 @@ class TestParsing:
         assert parse_formula("tpowx", store) is store.var("tpowx")
 
     def test_power_macros_expand(self, store):
-        assert parse_formula("tpow(2)", store) is iterate(chain_term(store), "x", 2)
+        for k in [*range(13), 100, 200]:
+            assert parse_formula(f"tpow({k})", store) is iterate(chain_term(store), "x", k)
+            assert parse_formula(f"spow({k})", store) is s_term(k, store)
         assert parse_formula("tpow(0)", store) is store.var("x")
-        assert parse_formula("spow(3)", store) is s_term(3, store)
         assert parse_formula("spow(0)", store) is store.bot()
 
     def test_macro_power_cap(self, store):
