@@ -238,7 +238,9 @@ def test_int_box_is_not_dia_not_on_every_world_set():
                 mask ^ dia(mask ^ a) for a in range(mask + 1)]
 
 
-def _assert_int_ops_match_the_oracle(frame, dia_term, box_term):
+def _assert_int_ops_match_the_oracle(frame, store):
+    x = store.var("x")
+    dia_term, box_term = store.dia(x), store.box(x)
     _, mask, dia, box = int_ops(frame)
     for a in range(mask + 1):
         sets = {"x": set(bits_to_worlds(a))}
@@ -248,14 +250,12 @@ def _assert_int_ops_match_the_oracle(frame, dia_term, box_term):
 
 @pytest.mark.parametrize("size", range(9))
 def test_chain_kernel_agrees_with_the_oracle(store, size):
-    x = store.var("x")
     for frame in enumerate_chains(size):
         assert frame.chain_loops == sum(1 << w for w in range(size) if frame.succ[w] >> w & 1)
-        _assert_int_ops_match_the_oracle(frame, store.dia(x), store.box(x))
+        _assert_int_ops_match_the_oracle(frame, store)
 
 
 def test_near_chains_take_the_successor_loop(store):
-    x = store.var("x")
     for size in range(2, 6):
         for loops in (0, 0b101 & (1 << size) - 1, (1 << size) - 1):
             chain = make_chain(size, bits_to_worlds(loops))
@@ -266,7 +266,7 @@ def test_near_chains_take_the_successor_loop(store):
                     + [frame_from_edges(size, [(j, i) for i, j in chain.edges()])])
             for frame in near:
                 assert frame.chain_loops is None, frame
-                _assert_int_ops_match_the_oracle(frame, store.dia(x), store.box(x))
+                _assert_int_ops_match_the_oracle(frame, store)
 
 
 def test_missing_variable_warns_once(store):
