@@ -19,9 +19,11 @@ their values right after that read. There are three backends:
   each modality one OR or AND of successor planes per world.
   algebra.fixpoint_index runs its step once on them, one lane per pivot value.
 - planes (vector.py): uint64 bit planes, one per world with a bit per
-  valuation, each modality one reduction per world over its successors'
-  planes. The vectorized SpaceEvaluator runs on them, and the drops keep its
-  live arrays to the DAG's width.
+  valuation. On a chain each modality is a running OR or AND of the planes
+  from the top world down, about one word operation per world, and on every
+  other frame one reduction per world over its successors' planes. The
+  vectorized SpaceEvaluator runs on them, and the drops keep its live
+  arrays to the DAG's width.
 
 Each world rule has one owner: check_world_count (counts), check_world
 (numbers), Frame.check (sets) and frame_from_edges (edges). All take ints

@@ -48,7 +48,17 @@ class Term:
         self.name = name
         self.args = args
         self.store = store
-        self._free: frozenset[str] | None = None
+        # the variable names below: a child's own set where it covers the other's
+        if kind == VAR:
+            self._free = frozenset((name,))
+        elif not args:
+            self._free = frozenset()
+        else:
+            free = args[0]._free
+            for a in args[1:]:
+                free = (free if a._free <= free else a._free if free <= a._free
+                        else free | a._free)
+            self._free = free
         self._tree: int | None = None
         self._program = None  # kripke.program_of's compiled program
 
@@ -130,12 +140,7 @@ def check_name(name: object) -> str:
 
 
 def free_vars(term: Term) -> frozenset[str]:
-    """Variable names occurring in the term (cached per node)."""
-    if term._free is None:
-        for node in walk(term):
-            if node._free is None:
-                node._free = (frozenset((node.name,)) if node.kind == VAR
-                              else frozenset().union(*(a._free for a in node.args)))
+    """Variable names occurring in the term (set when the node is built)."""
     return term._free
 
 

@@ -4,41 +4,47 @@ countermodel search.
 A SpaceEvaluator fixes a frame and an ordered variable list and evaluates
 each term node over a block of the valuation space at once, in bit planes
 (bit slicing: E. Biham, "A Fast New DES Implementation in Software", FSE
-1997). A value is a uint64 array of shape (worlds, d_0, ..., d_{k-2}, words)
+1997). A value is a uint64 array of shape (worlds, words, d_0, ..., d_{k-2})
 with one plane per world, in which a set bit is an assignment under which
 the world is in the node's set. The block's last variable is packed 64
-assignments to a word, lowest value in the lowest bit; every other variable
-keeps an axis of its own, of length 1 where the node does not depend on it,
-so values broadcast against each other and a node costs what its own
-variables span. Scans read the space in C order, first variable most
-significant, which makes "the first countermodel" a single well-defined
-index shared with the scalar scan order.
+assignments to a word, lowest value in the lowest bit, on the axis right
+after the worlds; every other variable keeps an axis of its own, of length
+1 where the node does not depend on it, so values broadcast against each
+other and a node costs what its own variables span. The words come first
+so that numpy's innermost loop runs over the last unpacked variable, not
+over the few words of a short packed axis, when a full array meets a leaf.
+Scans read the space in C order, first variable most significant, and the
+packed variable least, which makes "the first countermodel" a single
+well-defined index shared with the scalar scan order.
 
 The evaluation itself is kripke.run, the loop that the scalar evaluators run
 on ints; this module supplies its plane backend (_plane_ops) and the leaves.
 The connectives are word operations, and diamond and box at world w are the
-OR and the AND of the planes of w's successors. Where the packed variable
-has fewer than 64 values in a block, the high bits of its words are junk
-(negation sets them), and the readers of a gap clear them.
+OR and the AND of the planes of w's successors: on a chain a running OR or
+AND from the top world down, one word operation per world, and on every
+other frame one reduction per world. Where the packed variable has fewer
+than 64 values in a block, the high bits of its words are junk (negation
+sets them), and the readers of a gap clear them.
 
 The search reads the space in aligned blocks, and the block bounds each
 statement's array, not the product: every gap over the block, and every
-intermediate of the search, has at most _BLOCK_ENTRIES entries. The scan
-compiles its statements into one program once (SpaceEvaluator.plan, kept
-across frames by SpaceEvaluator.on), and each block runs a statement's part
-of it when its gap is drawn, so a node shared by the conclusion and a
-premise is computed once per block. The run drops each node's array right
-after its last read, so the arrays live at once are the DAG's width, not
-its size. A gap is read through the OR of its planes (_fails): the lowest
-set bit of the conclusion's, with each premise's cleared from it word by
-word, is the block's first countermodel. A premise block past the budget,
-which arises only when a statement omits a variable the block ranges over,
-is searched instead by variable elimination over 0/1 float32 factors, each
-written once from its statement's unpacked OR, on the axes of the variables
-the statement mentions; the conclusion's axes are ordered for its
-contraction with the largest premise, so the matrix products inside einsum
-read both factors in place. Sampled validity packs its seeded rows along one
-axis and reads them the same way.
+intermediate of the search, has at most _BLOCK_ENTRIES entries, and a
+statement scanned alone at most _LONE_ENTRIES, so that its node arrays stay
+near the L2 cache. The scan compiles its statements into one program once
+(SpaceEvaluator.plan, kept across frames by SpaceEvaluator.on), and each
+block runs a statement's part of it when its gap is drawn, so a node shared
+by the conclusion and a premise is computed once per block. The run drops
+each node's array right after its last read, so the arrays live at once are
+the DAG's width, not its size. A gap is read through the OR of its planes
+(_fails): the lowest set bit of the conclusion's, with each premise's
+cleared from it word by word, is the block's first countermodel. A premise
+block past the budget, which arises only when a statement omits a variable
+the block ranges over, is searched instead by variable elimination over 0/1
+float32 factors, each written once from its statement's unpacked OR, on the
+axes of the variables the statement mentions; the conclusion's axes are
+ordered for its contraction with the largest premise, so the matrix
+products inside einsum read both factors in place. Sampled validity packs
+its seeded rows along one axis and reads them the same way.
 
 numpy is imported on first array use, in the functions that build or read
 arrays, so importing this module (and modalbench) does not load it, and
@@ -59,6 +65,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BLOCK_ENTRIES = 1 << 20  # the most assignments, or sampled rows, read at once
+_LONE_ENTRIES = 1 << 18  # a lone statement's gap entries per block: 224 KiB on a 7-chain
 _FIRST_BLOCK = 1 << 15  # a lone statement's first block, doubled up to the step
 _LEAF_WORDS = 1 << 12  # leaves of at most this many words per axis value are kept
 # the first six worlds' planes in a word of 64 aligned values: bit t is bit w of t
@@ -70,9 +77,9 @@ class SpaceEvaluator:
     or over one block of them.
 
     Results are bit planes (see the module docstring): axis 0 is the worlds,
-    axis 1 + i enumerates the bitsets of names[i] in the block's [lo, hi)
-    range in increasing order, and the last holds the last name's, 64 to a
-    word. Variables mentioned nowhere in `names` evaluate to the empty set.
+    axis 1 holds the last name's bitsets in the block's [lo, hi) range, 64 to
+    a word, and axis 2 + i enumerates those of names[i] in increasing order.
+    Variables mentioned nowhere in `names` evaluate to the empty set.
     After plan(statements), the statements' one program runs on each block
     as far as the statements drawn so far need, so statements sharing
     subterms share their arrays, and each node array is dropped right after
@@ -146,13 +153,37 @@ def _plane_ops(frame: Frame, rank: int) -> tuple:
     planes with every variable axis of length 1, read-only, and the all-ones
     word, then diamond and box. At world w they are the OR and the AND of the
     planes of w's successors (0 and all ones where it has none, the
-    reductions' identities): one reduction per world, over a run of rows when
-    the successors are consecutive worlds, as on every chain, and over the
-    gathered rows otherwise."""
+    identities). On a chain (Frame.chain_loops) they run from the top world
+    down: w's successors are the worlds above it, whose planes the running
+    value holds, and w itself where it is looped, so each world costs about
+    one word operation, the loop folded into the running value. On every
+    other frame each world takes one reduction, over a run of rows when its
+    successors are consecutive worlds and over the gathered rows otherwise."""
     import numpy as np
 
+    loops = frame.chain_loops
     rows = [slice(r[0], r[-1] + 1) if r and r[-1] - r[0] == len(r) - 1
             else np.array(r, dtype=np.intp) for r in frame.succ_worlds]
+
+    def chain(combine, identity):
+        def step(a: np.ndarray) -> np.ndarray:
+            out = np.empty_like(a)
+            above = ()  # the arrays whose combination is the worlds above w
+            for w in reversed(range(frame.worlds)):
+                parts = (*above, a[w]) if loops >> w & 1 else above
+                if not parts:
+                    out[w] = identity
+                elif len(parts) == 1:
+                    np.copyto(out[w], parts[0])
+                else:
+                    combine(parts[0], parts[1], out=out[w])
+                    if len(parts) > 2:
+                        combine(out[w], parts[2], out=out[w])
+                # where w is looped, out[w] already holds its own plane
+                above = ((out[w],) if loops >> w & 1 else
+                         (out[w], a[w]) if above else (a[w],))
+            return out
+        return step
 
     def modal(reduce):
         def step(a: np.ndarray) -> np.ndarray:
@@ -164,17 +195,21 @@ def _plane_ops(frame: Frame, rank: int) -> tuple:
 
     zero = np.zeros((frame.worlds,) + (1,) * max(rank, 1), dtype=np.uint64)
     zero.setflags(write=False)
-    return zero, ~np.uint64(0), modal(np.bitwise_or.reduce), modal(np.bitwise_and.reduce)
+    ones = ~np.uint64(0)
+    if loops is not None:
+        return zero, ones, chain(np.bitwise_or, 0), chain(np.bitwise_and, ones)
+    return zero, ones, modal(np.bitwise_or.reduce), modal(np.bitwise_and.reduce)
 
 
 def _leaf_planes(worlds: int, rank: int, axis: int, lo: int, hi: int) -> np.ndarray:
     """The read-only planes of the variable on `axis` of a space of `rank`
     variables over its values [lo, hi), a pure function of its arguments,
     so small ones are kept (_kept_leaf). On an unpacked axis a value v is a
-    word per world w, all ones where bit w of v is set. The packed axis is
-    built in words of 64 aligned values: the word from value 64q on is the
-    same at world w >= 6, and _PATTERNS at the first six worlds. A range
-    that starts off a word boundary is shifted into place from two words."""
+    word per world w, all ones where bit w of v is set. The packed axis, the
+    one after the worlds, is built in words of 64 aligned values: the word
+    from value 64q on is the same at world w >= 6, and _PATTERNS at the
+    first six worlds. A range that starts off a word boundary is shifted
+    into place from two words."""
     import numpy as np
 
     packed, shape = axis == rank - 1, [worlds] + [1] * rank
@@ -186,7 +221,7 @@ def _leaf_planes(worlds: int, rank: int, axis: int, lo: int, hi: int) -> np.ndar
         planes[:6] = np.array(_PATTERNS[:worlds], dtype=np.uint64)[:, None]
         if shift:
             planes = planes[:, :-1] >> np.uint64(shift) | planes[:, 1:] << np.uint64(64 - shift)
-    shape[-1 if packed else 1 + axis] = count
+    shape[1 if packed else 2 + axis] = count
     planes = planes.reshape(shape)
     planes.setflags(write=False)
     return planes
@@ -218,14 +253,15 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     trailing variables that fit range over all their values, the variable
     before them over a power-of-two slice, and the leading ones are held at
     one value each. The step is the largest at which every statement's own
-    gap over the block has at most _BLOCK_ENTRIES entries, so the block
-    outgrows the budget when no statement mentions every variable it ranges
-    over. Every statement is evaluated through evaluator.gap. A block is
-    read by _first_in_block, on the axes its gaps mention, unless it has
-    premises and more than _BLOCK_ENTRIES assignments: then the lowest
-    countermodel is found by variable elimination (_first_by_elimination),
-    and no array of the block's shape is built. The scan stops at the first
-    block holding a countermodel."""
+    gap over the block has at most _BLOCK_ENTRIES entries, or, for a lone
+    conclusion, at most _LONE_ENTRIES (never more than _BLOCK_ENTRIES), so
+    the block outgrows the budget when no statement mentions every variable
+    it ranges over. Every statement is evaluated through evaluator.gap. A
+    block is read by _first_in_block, on the axes its gaps mention, unless
+    it has premises and more than _BLOCK_ENTRIES assignments: then the
+    lowest countermodel is found by variable elimination
+    (_first_by_elimination), and no array of the block's shape is built.
+    The scan stops at the first block holding a countermodel."""
     import numpy as np
 
     names, size = evaluator.names, evaluator.size
@@ -233,7 +269,8 @@ def first_countermodel(evaluator: SpaceEvaluator, premises: list[Statement],
     statements = [conclusion, *premises]
     axis = {name: i for i, name in enumerate(names)}
     supports = [{axis[v] for v in statement_vars(s) if v in axis} for s in statements]
-    step = _widest_step(len(names), size, supports)
+    budget = _BLOCK_ENTRIES if premises else min(_BLOCK_ENTRIES, _LONE_ENTRIES)
+    step = _widest_step(len(names), size, supports, budget)
     evaluator.plan(statements)
     start = 0
     while start < total:
@@ -265,17 +302,17 @@ def _block_lengths(step: int, size: int, n: int) -> tuple[int, ...]:
     return tuple(max(1, min(size, step // size ** i)) for i in reversed(range(n)))
 
 
-def _widest_step(n: int, size: int, supports: list[set[int]]) -> int:
+def _widest_step(n: int, size: int, supports: list[set[int]], budget: int) -> int:
     """The scan's step over n variables: the largest power of two, at most the
     whole space and 2^52, at which every statement's gap over the block (on
-    the axes in its support) has at most _BLOCK_ENTRIES entries, and never
-    below the largest power of two within _BLOCK_ENTRIES. A block of at most
-    2^52 entries has at most 52 axes longer than one, einsum's label limit."""
-    floor = 1 << _BLOCK_ENTRIES.bit_length() - 1
+    the axes in its support) has at most `budget` entries, and never below
+    the largest power of two within the budget. A block of at most 2^52
+    entries has at most 52 axes longer than one, einsum's label limit."""
+    floor = 1 << budget.bit_length() - 1
     step = min(size ** n, 1 << 52)
     while step > floor:
         lengths = _block_lengths(step, size, n)
-        if all(prod(lengths[i] for i in support) <= _BLOCK_ENTRIES for support in supports):
+        if all(prod(lengths[i] for i in support) <= budget for support in supports):
             break
         step //= 2
     return step
@@ -294,8 +331,8 @@ def _fails(gap: np.ndarray, length: int = 64) -> np.ndarray:
 def _world_set(gap: np.ndarray, at: tuple) -> int:
     """The gap's world set at the block position `at`, the packed coordinate last."""
     *lead, packed = (int(i) for i in at)
-    index = [i if n > 1 else 0 for i, n in zip(lead, gap.shape[1:-1])]
-    words = gap[(slice(None), *index, packed >> 6 if gap.shape[-1] > 1 else 0)]
+    index = [i if n > 1 else 0 for i, n in zip(lead, gap.shape[2:])]
+    words = gap[(slice(None), packed >> 6 if gap.shape[1] > 1 else 0, *index)]
     return sum((int(word) >> (packed & 63) & 1) << w for w, word in enumerate(words))
 
 
@@ -350,12 +387,14 @@ def _factor(words: np.ndarray, support: set[int], lengths: tuple[int, ...],
     """(the bits of `words` as 0/1 float32, its axes in the buffer's order),
     written in one pass. The axes are the ranging ones of the statement's
     variables (support), not read off its words, which are one per row for a
-    packed axis of up to 64 values. They keep scan order, except that those
-    in `last` move to the end, in last's order."""
+    packed axis of up to 64 values; the words axis moves last to be unpacked.
+    They keep scan order, except that those in `last` move to the end, in
+    last's order."""
     import numpy as np
 
     packed = len(lengths) - 1 in support
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=-1,
+    words = np.ascontiguousarray(np.moveaxis(words, 0, -1), dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=-1,
                          count=lengths[-1] if packed else 1, bitorder="little")
     axes = [a for a, i in enumerate(ranging) if i in support]
     order = [a for a in axes if a not in last] + [a for a in last if a in axes]
@@ -409,13 +448,15 @@ def _first_in_block(shape: tuple[int, ...], fail: np.ndarray, premises_fail: Ite
     ORs, drawn only while some position is still open, and each clears its
     failures from fail word by word. The words are read on the axes they
     mention: a lone conclusion's first failure is the lowest set bit of its
-    own OR, with the axes it omits held at 0, at any block size."""
+    own OR, with the axes it omits held at 0, at any block size. The words
+    axis moves last, so C order over the words is scan order."""
     import numpy as np
 
     for words in premises_fail:
         if not fail.any():
             return None
         fail = fail & ~words
+    fail = np.moveaxis(fail, 0, -1)
     flat = fail.reshape(-1)
     local = int(np.argmax(flat != 0))
     word = int(flat[local])

@@ -43,6 +43,16 @@ def naive_eval(frame: Frame, sets: dict[str, set[int]], term: Term) -> set[int]:
     return go(term)
 
 
+def naive_free_vars(term: Term, memo: dict[Term, set[str]]) -> set[str]:
+    """Variable names occurring in the term, by structural recursion on its
+    children. memo keeps each node's answer, since the tree of an iterate is
+    exponential in its DAG; a deep term needs a raised recursion limit."""
+    if term not in memo:
+        memo[term] = ({term.name} if term.kind == "var" else
+                      set().union(*(naive_free_vars(a, memo) for a in term.args)))
+    return memo[term]
+
+
 def naive_fails(frame: Frame, sets: dict[str, set[int]], stmt: Statement) -> set[int]:
     """Worlds where the statement fails."""
     lhs = naive_eval(frame, sets, stmt.lhs)

@@ -1,8 +1,8 @@
 """Reading the plane backend's arrays back as one world set per assignment.
 
-A value of vector.SpaceEvaluator has one plane per world, one axis per
-variable but the last, and the last variable's values packed 64 to a word,
-first value lowest. world_sets unpacks it in the most direct way, for
+A value of vector.SpaceEvaluator has one plane per world, then the last
+variable's values packed 64 to a word, first value lowest, then one axis per
+other variable. world_sets unpacks it in the most direct way, for
 comparison with the int backend and the oracles.
 """
 
@@ -16,8 +16,8 @@ def world_sets(planes: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
     per-variable lengths (() for no variables: one assignment), as a uint64
     array of that shape: bit w is the assignment's bit in plane w."""
     lengths = tuple(lengths) or (1,)
-    bits = np.unpackbits(np.asarray(planes).astype("<u8").view(np.uint8), axis=-1,
-                         bitorder="little")
+    words = np.ascontiguousarray(np.moveaxis(np.asarray(planes), 1, -1), dtype="<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little")
     # a value that does not depend on the packed variable has one word per row
     bits = bits[..., :lengths[-1]] if lengths[-1] <= bits.shape[-1] else bits[..., :1]
     out = np.zeros(lengths, dtype=np.uint64)

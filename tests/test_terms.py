@@ -1,6 +1,7 @@
 """Term store interning, substitution, iteration, and the named families."""
 
 import gc
+import sys
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from modalbench.terms import (Statement, TermStore, boxdot_power, chain_term,
                               leq, node_count, s_term,
                               statement_vars, substitute, tree_size, walk)
 
+from oracles import naive_free_vars
 from strategies import build_term, term_plans
 
 
@@ -189,6 +191,24 @@ def test_iterate_composes(plan, k):
     store = TermStore()
     t = store.or_(store.var("x"), build_term(plan, store))  # ensure pivot occurs
     assert iterate(t, "x", k + 1) is substitute(t, {"x": iterate(t, "x", k)})
+
+
+def test_free_variables_are_set_when_a_node_is_built(store):
+    # every node of a tpow(200) parse against a naive recursion; a node takes
+    # a child's own set where it covers the other child's, so the 1003 nodes
+    # hold five sets: {x}, {y}, {z}, {x, z} and {x, y, z}
+    term = parse_formula("tpow(200)", store)
+    memo: dict = {}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10_000)
+    try:
+        assert naive_free_vars(term, memo) == {"x", "y", "z"}
+    finally:
+        sys.setrecursionlimit(limit)
+    nodes = list(walk(term))
+    assert len(nodes) == len(memo) == 1003
+    assert all(free_vars(node) == memo[node] for node in nodes)
+    assert len({id(free_vars(node)) for node in nodes}) == 5
 
 
 def test_deep_terms_need_no_recursion(store):

@@ -246,7 +246,7 @@ def test_evaluate_after_a_scan_reads_the_whole_space(store, monkeypatch):
     for got, want in ((ev.evaluate(step), fresh.evaluate(step)),
                       (ev.gap(stmt, whole), fresh.gap(stmt, whole))):
         assert got.shape == want.shape and (got == want).all()
-    assert ev.evaluate(step).shape == (2, 4, 4, 1)  # worlds, x, y, one word for z
+    assert ev.evaluate(step).shape == (2, 1, 4, 4)  # worlds, one word for z, x, y
 
 
 def test_scan_memory_follows_the_block_not_the_space(store, monkeypatch):

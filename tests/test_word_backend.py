@@ -1,7 +1,7 @@
 """The plane backend against the int backend, one assignment at a time: its
-leaves, its diamond and box over runs of successors and gathered ones, the
-junk bits past a short packed axis, premise scans and elimination; its
-memory, and the lone statement's first block.
+leaves, its diamond and box over runs of successors and gathered ones and
+as running values on chains, the junk bits past a short packed axis,
+premise scans and elimination; its memory, and the lone statement's blocks.
 """
 
 import random
@@ -15,11 +15,13 @@ from hypothesis import given, settings, strategies as st
 import modalbench.vector as vector
 from modalbench.algebra import check_validity
 from modalbench.chains import make_chain
-from modalbench.kripke import Model, Program, frame_from_edges, int_ops, run
+from modalbench.consequence import ConsequenceProblem, build_sigma_pi, check_consequence
+from modalbench.kripke import Model, Program, bits_to_worlds, frame_from_edges, int_ops, run
 from modalbench.syntax import parse_statement
-from modalbench.terms import TermStore, eq, leq, walk
+from modalbench.terms import TermStore, chain_term, eq, leq, walk
 from modalbench.vector import SpaceEvaluator, decode_index, first_countermodel
 
+from oracles import naive_eval
 from planes import world_sets
 from strategies import build_term, term_plans
 
@@ -139,17 +141,18 @@ def test_box_and_diamond_match_the_scalar_evaluator(store, worlds):
 
 @pytest.mark.parametrize("worlds", [0, 1, 9, 16, 17, 33, 64])
 def test_modal_steps_over_many_words_match_the_scalar_evaluator(worlds):
-    # random planes over two rows of 40 words, contiguous and strided, on
-    # frames whose successor sets are runs and scattered worlds
+    # random planes of 40 words over two values of the unpacked variable,
+    # words axis first, contiguous and strided, on frames whose successor
+    # sets are runs and scattered worlds
     rng = random.Random(worlds)
     for density in (0.05, 0.3, 0.9):
         frame = random_frame(worlds, density, rng)
         _, _, dia, box = SpaceEvaluator(frame, ["x", "y"]).ops
         _, _, int_dia, int_box = int_ops(frame)
-        planes = np.array([[[rng.getrandbits(64) for _ in range(40)] for _ in range(2)]
-                           for _ in range(worlds)], dtype=np.uint64).reshape(worlds, 2, 40)
-        for a in (planes, planes[:, :, ::7]):
-            lengths = (2, 64 * a.shape[-1])
+        planes = np.array([[[rng.getrandbits(64) for _ in range(2)] for _ in range(40)]
+                           for _ in range(worlds)], dtype=np.uint64).reshape(worlds, 40, 2)
+        for a in (planes, planes[:, ::7]):
+            lengths = (2, 64 * a.shape[1])
             values = world_sets(a, lengths)
             for op, int_op in ((dia, int_dia), (box, int_box)):
                 got = op(a)
@@ -158,9 +161,57 @@ def test_modal_steps_over_many_words_match_the_scalar_evaluator(worlds):
                     [int_op(int(v)) for v in row] for row in values]
 
 
+def assert_plane_steps_match_the_int_backend(frame, store, rng):
+    # random planes of 4 words over 3 values of the unpacked variable, words
+    # axis first, contiguous and strided on both axes; the first few
+    # assignments also against the oracle
+    x = store.var("x")
+    _, _, dia, box = vector._plane_ops(frame, 2)
+    _, _, int_dia, int_box = int_ops(frame)
+    planes = np.array([rng.getrandbits(64) for _ in range(frame.worlds * 12)],
+                      dtype=np.uint64).reshape(frame.worlds, 4, 3)
+    for a in (planes, planes[:, ::2], planes[:, ::-1, ::2]):
+        lengths = (a.shape[2], 64 * a.shape[1])
+        values = world_sets(a, lengths)
+        for op, int_op, term in ((dia, int_dia, store.dia(x)), (box, int_box, store.box(x))):
+            got = op(a)
+            assert got.shape == a.shape and got.dtype == np.uint64
+            got = world_sets(got, lengths)
+            assert got.tolist() == [[int_op(int(v)) for v in row] for row in values]
+            for v, g in zip(values[0, :8].tolist(), got[0, :8].tolist()):
+                sets = {"x": set(bits_to_worlds(v))}
+                assert g == sum(1 << w for w in naive_eval(frame, sets, term))
+
+
+@pytest.mark.parametrize("worlds", range(9))
+def test_chain_steps_match_the_int_backend_for_every_loop_set(store, worlds):
+    # the running OR and AND from the top world down, on every loop set
+    rng = random.Random(worlds)
+    for loops in range(1 << worlds):
+        frame = make_chain(worlds, bits_to_worlds(loops))
+        assert frame.chain_loops == loops
+        assert_plane_steps_match_the_int_backend(frame, store, rng)
+
+
+def test_near_chains_keep_the_reduction_per_world(store):
+    # one extra backward edge, one missing forward edge, and the reversed
+    # chain: no chain, so each world's successors are reduced on their own
+    rng = random.Random(5)
+    for size in range(2, 6):
+        for loops in (0, 0b101 & (1 << size) - 1, (1 << size) - 1):
+            chain = make_chain(size, bits_to_worlds(loops))
+            pairs = [(i, j) for i in range(size) for j in range(i)]  # j below i
+            near = ([frame_from_edges(size, chain.edges() + [pair]) for pair in pairs]
+                    + [frame_from_edges(size, [e for e in chain.edges() if e != (j, i)])
+                       for i, j in pairs]
+                    + [frame_from_edges(size, [(j, i) for i, j in chain.edges()])])
+            for frame in near:
+                assert frame.chain_loops is None, frame
+                assert_plane_steps_match_the_int_backend(frame, store, rng)
+
+
 def test_a_modal_step_needs_little_scratch_memory():
-    # each world's planes are reduced into the output in place, from a run of
-    # successor rows on a chain
+    # on a chain the running value is the output's own rows, combined in place
     frame = make_chain(7)
     box = SpaceEvaluator(frame, ["x"]).ops[3]
     a = np.arange(7 << 14, dtype=np.uint64).reshape(7, 1 << 14)  # 2^20 assignments
@@ -213,3 +264,44 @@ def test_an_early_refutation_reads_one_small_block(monkeypatch, store):
                             ["x", "y", "z"])
     assert report.verdict == "countermodel" and report.valuations_tried == 1
     assert len(read) == 1 and read[0] <= vector._FIRST_BLOCK
+
+
+def test_a_lone_scan_reads_blocks_of_at_most_2_to_the_18(monkeypatch, store):
+    # the 2^21 assignments of a valid statement on a 7-chain, in blocks that
+    # double from the first up to the lone budget
+    read = []
+    real = vector._first_in_block
+    monkeypatch.setattr(vector, "_first_in_block",
+                        lambda shape, *args: read.append(prod(shape)) or real(shape, *args))
+    report = check_validity(make_chain(7), parse_statement("tpow(4) = tpow(5)", store),
+                            ["x", "y", "z"])
+    assert report.verdict == "valid" and sum(read) == 1 << 21
+    assert max(read) == vector._LONE_ENTRIES == 1 << 18
+
+
+def test_sigma_entails_pi_on_a_five_chain_is_one_elimination_block(monkeypatch, store):
+    # premise scans keep the whole budget: no statement of sigma |= pi_1
+    # mentions all five variables, so the 2^25 assignments are one block
+    ran = []
+    real = vector._first_by_elimination
+    monkeypatch.setattr(vector, "_first_by_elimination",
+                        lambda *args: ran.append(1) or real(*args))
+    monkeypatch.setattr(vector, "_first_in_block", None)  # never called
+    sigma, pi = build_sigma_pi(chain_term(store), "x", 1)
+    result = check_consequence(ConsequenceProblem(sigma, pi[1], [make_chain(5)], max_bits=25))
+    assert result.holds and result.assignments == 1 << 25
+    assert ran == [1]
+
+
+def test_a_lone_statement_omitting_the_packed_variable_stays_small(store):
+    # []x <= [][]x over x, y on the 14-chain: one block over all of x, a word
+    # per world for each of its values
+    stmt = parse_statement("[]x <= [][]x", store)
+    tracemalloc.start()
+    try:
+        report = check_validity(make_chain(14), stmt, ["x", "y"], bit_cap=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "valid"
+    assert peak < 3.2 * (1 << 20), peak
